@@ -586,6 +586,15 @@ mod tests {
     #[test]
     fn snapshot_is_flag_tag_consistent() {
         let d = BufferDesc::new();
+        // Start from a state that already meets the invariant below
+        // (tag 0 is even, so valid): a reader that runs before the
+        // writer's first store must see a consistent descriptor too.
+        {
+            let mut s = d.lock();
+            s.tag = 0;
+            s.lsn = 0;
+            s.valid = true;
+        }
         std::thread::scope(|sc| {
             let writer = sc.spawn(|| {
                 for i in 0..10_000u64 {

@@ -465,7 +465,9 @@ impl<M: ReplacementManager> BufferPool<M> {
     /// everything back the way it was — mapping removed, replacement
     /// state forgotten, frame on the free list — so no frame is ever
     /// wedged and a later fetch of `page` starts from scratch.
-    fn repair_failed_frame(&self, page: PageId, frame: FrameId) {
+    /// `victim` is a dirty victim whose failed write-back left it still
+    /// mapped to `frame`; its mapping goes too.
+    fn repair_failed_frame(&self, page: PageId, frame: FrameId, victim: Option<PageId>) {
         let _g = self.miss_locks[self.miss_shard(page)].lock();
         {
             let mut s = self.descs[frame as usize].lock();
@@ -480,6 +482,9 @@ impl<M: ReplacementManager> BufferPool<M> {
         }
         bpw_dst::record(|| bpw_dst::Op::Unpin { page, pins: 0 });
         self.table.remove(page);
+        if let Some(v) = victim {
+            self.table.remove(v);
+        }
         self.manager.invalidate(frame);
         // Cold push: the frame just hosted a failing I/O; a plain LIFO
         // push would hand it straight to the next miss, so one bad page
@@ -644,9 +649,20 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             }
         };
         bpw_dst::record(|| bpw_dst::Op::Pin { page, pins: 1 });
+        // A dirty victim stays mapped until its write-back completes
+        // (PostgreSQL's `BufferAlloc` order): the frame is retagged and
+        // in I/O, so a fetch of the victim spins on the unpinnable
+        // mapping, and a miss on it re-checks, finds the mapping, and
+        // retries — instead of reading storage before the victim's
+        // latest bytes reach it.
+        let mut victim_mapped = None;
         if let Some(v) = victim {
             bpw_trace::instant(bpw_trace::EventKind::Eviction, v);
-            pool.table.remove(v);
+            if was_dirty {
+                victim_mapped = Some(v);
+            } else {
+                pool.table.remove(v);
+            }
         }
         pool.table.insert(page, frame);
         // I/O happens outside the miss lock: other misses proceed.
@@ -664,8 +680,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
         let io_span = bpw_trace::span_start();
         let io_result = (|| -> io::Result<()> {
             let mut data = pool.data[frame as usize].lock();
-            if was_dirty {
-                let v = victim.expect("dirty implies eviction");
+            if let Some(v) = victim_mapped {
                 pool.io_with_retries(v, || {
                     // WAL-before-data: the log covering this page must
                     // be durable before its new version reaches storage.
@@ -675,6 +690,10 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
                     pool.storage.write_page(v, &data)
                 })?;
                 pool.stats.writebacks.fetch_add(1, Ordering::Relaxed);
+                // Storage now holds the victim's latest bytes: a re-miss
+                // of it may read them.
+                pool.table.remove(v);
+                victim_mapped = None;
             }
             let buf = &mut **data;
             pool.io_with_retries(page, || pool.storage.read_page(page, &mut *buf))
@@ -684,7 +703,7 @@ impl<'p, M: ReplacementManager> PoolSession<'p, M> {
             // committed WAL records still cover it when a log is
             // attached); what must never happen is a wedged frame.
             bpw_trace::stage::add_miss_io(io_t0.elapsed().as_nanos() as u64);
-            pool.repair_failed_frame(page, frame);
+            pool.repair_failed_frame(page, frame, victim_mapped);
             return Err(e);
         }
         bpw_dst::yield_point();

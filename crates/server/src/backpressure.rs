@@ -1,37 +1,46 @@
-//! Admission control between connection threads and the worker pool.
+//! Admission control: where overload becomes visible, so the policy
+//! decision lives here rather than in the protocol or execution code.
 //!
-//! The server's request queue is where overload becomes visible, so the
-//! policy decision lives here rather than in the protocol or worker
-//! code. Three policies:
+//! Two admission shapes share the three policies:
 //!
-//! * **Block** — producers wait for queue space; nothing is refused.
-//!   End-to-end latency absorbs the overload (the e2e tests rely on the
-//!   zero-loss guarantee).
-//! * **Shed** — a full queue refuses immediately; the connection thread
-//!   replies `BUSY` without the request ever queueing.
-//! * **DeadlineDrop** — requests always queue, but carry a deadline; a
-//!   worker that dequeues an expired request replies `DROPPED` without
-//!   executing it. Expiry is checked at *dequeue*, where staleness is
-//!   actually known, not at enqueue.
+//! * [`ExecGate`] — the threaded frontend's run-to-completion gate. A
+//!   connection thread executes its own requests once the gate grants
+//!   it one of `workers` execution slots; at most `queue_capacity`
+//!   requests wait for a slot.
+//! * [`AdmissionQueue`] / [`WorkQueue`] — the event loop's bounded queue
+//!   in front of its worker pool (the loop thread itself must never
+//!   block on a miss, so it hands requests off instead).
+//!
+//! The policies:
+//!
+//! * **Block** — wait for capacity; nothing is refused. End-to-end
+//!   latency absorbs the overload (the e2e tests rely on the zero-loss
+//!   guarantee).
+//! * **Shed** — no capacity means an immediate `BUSY` reply.
+//! * **DeadlineDrop** — requests always wait, but carry a deadline; one
+//!   whose wait exceeded it when it would start executing is answered
+//!   `DROPPED` instead. Expiry is checked when execution would begin,
+//!   where staleness is actually known, not at arrival.
 
 use std::str::FromStr;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
 
 use bpw_metrics::MaxGauge;
-use std::sync::Arc;
 
-/// How the request queue behaves at (and past) capacity.
+/// How admission behaves at (and past) capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicy {
     /// Block producers until a slot frees up; never refuse work.
     #[default]
     Block,
-    /// Refuse immediately when the queue is full (`BUSY` reply).
+    /// Refuse immediately when there is no room to wait (`BUSY` reply).
     Shed,
-    /// Queue everything but discard requests older than this once a
-    /// worker picks them up (`DROPPED` reply).
+    /// Let everything wait, but discard requests older than this when
+    /// they would start executing (`DROPPED` reply).
     DeadlineDrop(Duration),
 }
 
@@ -65,17 +74,6 @@ impl FromStr for AdmissionPolicy {
             },
         }
     }
-}
-
-/// What `submit` did with a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admitted {
-    /// Queued (possibly after blocking).
-    Queued,
-    /// Refused under [`AdmissionPolicy::Shed`].
-    Shed,
-    /// All workers are gone; the server is shutting down.
-    Closed,
 }
 
 /// What a non-blocking [`AdmissionQueue::offer_at`] did with a request.
@@ -114,10 +112,10 @@ struct Entry<T> {
 
 /// A bounded MPMC request queue with policy-aware admission.
 ///
-/// Cloneable on both ends: every connection thread holds an
-/// [`AdmissionQueue`] (producer side), every worker holds a
-/// [`WorkQueue`] (consumer side). Queue depth is tracked with a
-/// [`MaxGauge`] so STATS can report the high-water mark.
+/// Cloneable on both ends: the event loop holds an [`AdmissionQueue`]
+/// (producer side), every worker holds a [`WorkQueue`] (consumer side).
+/// Queue depth is tracked with a [`MaxGauge`] so STATS can report the
+/// high-water mark.
 pub struct AdmissionQueue<T> {
     tx: Sender<Entry<T>>,
     policy: AdmissionPolicy,
@@ -166,28 +164,6 @@ pub fn admission_queue<T>(
 }
 
 impl<T> AdmissionQueue<T> {
-    /// Submit a request under the queue's policy.
-    pub fn submit(&self, item: T) -> Admitted {
-        let entry = Entry {
-            item,
-            enqueued: Instant::now(),
-        };
-        match self.policy {
-            AdmissionPolicy::Shed => match self.tx.try_send(entry) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => return Admitted::Shed,
-                Err(TrySendError::Disconnected(_)) => return Admitted::Closed,
-            },
-            AdmissionPolicy::Block | AdmissionPolicy::DeadlineDrop(_) => {
-                if self.tx.send(entry).is_err() {
-                    return Admitted::Closed;
-                }
-            }
-        }
-        self.depth.observe(self.tx.len() as u64);
-        Admitted::Queued
-    }
-
     /// Submit without ever blocking the caller — the admission path for
     /// the event-loop frontend, whose one thread owns every connection
     /// and must not stall on any of them.
@@ -212,7 +188,7 @@ impl<T> AdmissionQueue<T> {
         }
     }
 
-    /// Highest queue depth observed at any submit.
+    /// Highest queue depth observed at any offer.
     pub fn peak_depth(&self) -> u64 {
         self.depth.get()
     }
@@ -253,6 +229,183 @@ impl<T> WorkQueue<T> {
     }
 }
 
+/// Why [`ExecGate::enter`] refused a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refused {
+    /// Every slot is taken and the waiting room is full, under
+    /// [`AdmissionPolicy::Shed`] (reply `BUSY`).
+    Busy,
+    /// The request waited past its [`AdmissionPolicy::DeadlineDrop`]
+    /// deadline (reply `DROPPED`).
+    Expired,
+}
+
+/// Run-to-completion admission: at most `slots` requests execute at
+/// once, and at most `capacity` wait for a slot.
+///
+/// Taking a free slot is one compare-and-swap on an atomic count, and
+/// giving it back is one atomic decrement plus a load; neither touches
+/// a lock unless someone is waiting. Only waiters use the mutex and
+/// condition variables. Under the blocking policies a request that
+/// finds the waiting room full waits for room first, the way a producer
+/// blocked on a full queue does; the room's high-water mark is the
+/// queue-depth gauge STATS reports.
+#[derive(Debug)]
+pub struct ExecGate {
+    slots: usize,
+    capacity: usize,
+    policy: AdmissionPolicy,
+    /// Slots held right now.
+    running: AtomicUsize,
+    /// Most slots ever held at once.
+    peak_running: AtomicUsize,
+    /// Requests in the waiting room: written under `room`, read
+    /// lock-free by [`release`](Self::release) to skip the wake-up when
+    /// nobody waits.
+    waiting: AtomicUsize,
+    room: Mutex<()>,
+    slot_freed: Condvar,
+    room_freed: Condvar,
+    depth: Arc<MaxGauge>,
+}
+
+/// One granted execution slot; dropping it frees the slot.
+#[must_use = "the slot is released when the permit drops"]
+#[derive(Debug)]
+pub struct Permit<'g> {
+    gate: &'g ExecGate,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.gate.release();
+    }
+}
+
+impl ExecGate {
+    /// A gate with `slots` execution slots (at least one) and room for
+    /// `capacity` waiters. The blocking policies always keep room for
+    /// one waiter, since a request that may not be refused must wait
+    /// somewhere; under [`AdmissionPolicy::Shed`] a zero capacity
+    /// refuses whenever every slot is taken.
+    pub fn new(slots: usize, capacity: usize, policy: AdmissionPolicy) -> ExecGate {
+        let capacity = match policy {
+            AdmissionPolicy::Shed => capacity,
+            AdmissionPolicy::Block | AdmissionPolicy::DeadlineDrop(_) => capacity.max(1),
+        };
+        ExecGate {
+            slots: slots.max(1),
+            capacity,
+            policy,
+            running: AtomicUsize::new(0),
+            peak_running: AtomicUsize::new(0),
+            waiting: AtomicUsize::new(0),
+            room: Mutex::new(()),
+            slot_freed: Condvar::new(),
+            room_freed: Condvar::new(),
+            depth: Arc::new(MaxGauge::new()),
+        }
+    }
+
+    /// Wait for an execution slot under the gate's policy. `admitted`
+    /// is when the request's frame was complete: the deadline of
+    /// [`AdmissionPolicy::DeadlineDrop`] counts from there, and is
+    /// checked at the grant whether or not the request had to wait.
+    pub fn enter(&self, admitted: Instant) -> Result<Permit<'_>, Refused> {
+        if !self.try_take() {
+            self.wait_for_slot()?;
+        }
+        let permit = Permit { gate: self };
+        if let AdmissionPolicy::DeadlineDrop(deadline) = self.policy {
+            if admitted.elapsed() > deadline {
+                return Err(Refused::Expired);
+            }
+        }
+        Ok(permit)
+    }
+
+    /// Take a free slot, if there is one, without waiting.
+    fn try_take(&self) -> bool {
+        let mut held = self.running.load(Ordering::SeqCst);
+        while held < self.slots {
+            match self.running.compare_exchange_weak(
+                held,
+                held + 1,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            ) {
+                Ok(_) => {
+                    // Below the peak — the steady state — only read its
+                    // line, so grants on other cores do not bounce it.
+                    if held + 1 > self.peak_running.load(Ordering::Relaxed) {
+                        self.peak_running.fetch_max(held + 1, Ordering::Relaxed);
+                    }
+                    return true;
+                }
+                Err(seen) => held = seen,
+            }
+        }
+        false
+    }
+
+    /// The contended path: join the waiting room (or be refused), then
+    /// wait until a release hands over a slot.
+    fn wait_for_slot(&self) -> Result<(), Refused> {
+        let mut room = self.room.lock().expect("gate lock");
+        if self.try_take() {
+            return Ok(());
+        }
+        while self.waiting.load(Ordering::SeqCst) >= self.capacity {
+            if self.policy == AdmissionPolicy::Shed {
+                return Err(Refused::Busy);
+            }
+            room = self.room_freed.wait(room).expect("gate lock");
+        }
+        let waiting = self.waiting.fetch_add(1, Ordering::SeqCst) + 1;
+        self.depth.observe(waiting as u64);
+        // `waiting` is published before this re-check, and `release`
+        // frees its slot before reading `waiting`: either the re-check
+        // sees the freed slot, or the releaser sees a waiter and
+        // notifies under the lock this thread holds until it waits.
+        while !self.try_take() {
+            room = self.slot_freed.wait(room).expect("gate lock");
+        }
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        self.room_freed.notify_one();
+        drop(room);
+        Ok(())
+    }
+
+    fn release(&self) {
+        self.running.fetch_sub(1, Ordering::SeqCst);
+        if self.waiting.load(Ordering::SeqCst) > 0 {
+            let _room = self.room.lock().expect("gate lock");
+            self.slot_freed.notify_one();
+        }
+    }
+
+    /// Slots held right now.
+    pub fn running(&self) -> usize {
+        self.running.load(Ordering::SeqCst)
+    }
+
+    /// Most slots ever held at once: never more than `slots`.
+    pub fn peak_running(&self) -> usize {
+        self.peak_running.load(Ordering::Relaxed)
+    }
+
+    /// Requests in the waiting room right now.
+    pub fn waiting(&self) -> usize {
+        self.waiting.load(Ordering::SeqCst)
+    }
+
+    /// Shared handle to the waiting-room high-water mark (the STATS
+    /// `peak_queue_depth` under the threaded frontend).
+    pub fn depth_gauge(&self) -> Arc<MaxGauge> {
+        Arc::clone(&self.depth)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,53 +422,166 @@ mod tests {
         assert!("lru".parse::<AdmissionPolicy>().is_err());
     }
 
-    #[test]
-    fn shed_refuses_when_full() {
-        let (aq, wq) = admission_queue::<u32>(2, AdmissionPolicy::Shed);
-        assert_eq!(aq.submit(1), Admitted::Queued);
-        assert_eq!(aq.submit(2), Admitted::Queued);
-        assert_eq!(aq.submit(3), Admitted::Shed);
-        match wq.pop(Duration::from_millis(10)) {
-            Popped::Item(1) => {}
-            other => panic!("expected Item(1), got {other:?}"),
-        }
-        assert_eq!(aq.submit(3), Admitted::Queued);
-        assert!(aq.peak_depth() >= 2);
+    /// Hold `n` slots from helper threads until `release` is dropped.
+    fn hold_slots(
+        gate: &Arc<ExecGate>,
+        n: usize,
+    ) -> (std::sync::mpsc::Sender<()>, Vec<thread::JoinHandle<()>>) {
+        let (release, rx) = std::sync::mpsc::channel::<()>();
+        let rx = Arc::new(Mutex::new(rx));
+        let holders = (0..n)
+            .map(|_| {
+                let (gate, rx) = (Arc::clone(gate), Arc::clone(&rx));
+                thread::spawn(move || {
+                    let _permit = gate.enter(Instant::now()).expect("free slot");
+                    // Block until the test hangs up.
+                    let _ = rx.lock().unwrap().recv();
+                })
+            })
+            .collect();
+        crate::poll::wait_for(Duration::from_secs(5), "slots held", || gate.running() == n);
+        (release, holders)
     }
 
     #[test]
-    fn block_waits_for_capacity() {
-        let (aq, wq) = admission_queue::<u32>(1, AdmissionPolicy::Block);
-        assert_eq!(aq.submit(1), Admitted::Queued);
-        let producer = {
-            let aq = aq.clone();
-            thread::spawn(move || aq.submit(2))
+    fn gate_block_waits_while_every_slot_is_held() {
+        let gate = Arc::new(ExecGate::new(2, 4, AdmissionPolicy::Block));
+        let (release, holders) = hold_slots(&gate, 2);
+        let waiter = {
+            let gate = Arc::clone(&gate);
+            thread::spawn(move || gate.enter(Instant::now()).map(drop))
         };
-        // The producer must stay stuck until we pop: give it a bounded
-        // window to (wrongly) finish, then require it did not.
-        assert!(
-            !crate::poll::poll_until(Duration::from_millis(20), || producer.is_finished()),
-            "submit must block while the queue is full"
-        );
-        match wq.pop(Duration::from_millis(100)) {
-            Popped::Item(1) => {}
-            other => panic!("expected Item(1), got {other:?}"),
+        crate::poll::wait_for(Duration::from_secs(5), "waiter queued", || {
+            gate.waiting() == 1
+        });
+        // Queued, not running: the slot count never exceeds its bound.
+        assert!(!waiter.is_finished(), "enter must block while full");
+        assert_eq!(gate.running(), 2);
+        drop(release);
+        for h in holders {
+            h.join().unwrap();
         }
-        // Popping freed capacity; the producer must now complete — FIFO
-        // order proves it waited rather than jumping the queue.
-        assert_eq!(producer.join().unwrap(), Admitted::Queued);
-        match wq.pop(Duration::from_secs(5)) {
-            Popped::Item(2) => {}
-            other => panic!("expected Item(2), got {other:?}"),
+        assert_eq!(waiter.join().unwrap(), Ok(()));
+        assert_eq!(gate.running(), 0);
+        assert_eq!(gate.waiting(), 0);
+        assert_eq!(gate.depth_gauge().get(), 1);
+    }
+
+    #[test]
+    fn gate_uncontended_path_grants_and_releases() {
+        let gate = ExecGate::new(2, 0, AdmissionPolicy::Shed);
+        let a = gate.enter(Instant::now()).expect("first slot");
+        let b = gate.enter(Instant::now()).expect("second slot");
+        assert_eq!(gate.running(), 2);
+        // No waiting room under Shed with capacity 0: refuse at once.
+        assert_eq!(gate.enter(Instant::now()).err(), Some(Refused::Busy));
+        drop(a);
+        let c = gate.enter(Instant::now()).expect("freed slot");
+        drop((b, c));
+        assert_eq!(gate.running(), 0);
+        assert_eq!(gate.depth_gauge().get(), 0, "nobody ever waited");
+    }
+
+    #[test]
+    fn gate_shed_answers_busy_past_the_waiting_room() {
+        let gate = Arc::new(ExecGate::new(1, 2, AdmissionPolicy::Shed));
+        let (release, holders) = hold_slots(&gate, 1);
+        // Two requests fit in the waiting room...
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let gate = Arc::clone(&gate);
+                thread::spawn(move || gate.enter(Instant::now()).map(drop))
+            })
+            .collect();
+        crate::poll::wait_for(Duration::from_secs(5), "room full", || gate.waiting() == 2);
+        // ...the third is refused at once instead of waiting.
+        assert_eq!(gate.enter(Instant::now()).err(), Some(Refused::Busy));
+        drop(release);
+        for h in holders {
+            h.join().unwrap();
         }
+        for w in waiters {
+            assert_eq!(w.join().unwrap(), Ok(()));
+        }
+        assert_eq!(gate.depth_gauge().get(), 2);
+        assert_eq!(gate.running(), 0);
+    }
+
+    #[test]
+    fn gate_deadline_drops_an_expired_wait() {
+        let gate = Arc::new(ExecGate::new(
+            1,
+            4,
+            AdmissionPolicy::DeadlineDrop(Duration::from_millis(5)),
+        ));
+        let (release, holders) = hold_slots(&gate, 1);
+        let admitted = Instant::now();
+        let waiter = {
+            let gate = Arc::clone(&gate);
+            thread::spawn(move || gate.enter(admitted).map(drop))
+        };
+        crate::poll::wait_for(Duration::from_secs(5), "deadline passed in queue", || {
+            gate.waiting() == 1 && admitted.elapsed() > Duration::from_millis(6)
+        });
+        drop(release);
+        for h in holders {
+            h.join().unwrap();
+        }
+        assert_eq!(waiter.join().unwrap(), Err(Refused::Expired));
+        // The expired request gave its slot back.
+        assert_eq!(gate.running(), 0);
+        // A fresh request under the same deadline runs.
+        assert!(gate.enter(Instant::now()).is_ok());
+    }
+
+    #[test]
+    fn gate_zero_deadline_drops_on_the_fast_path() {
+        let gate = ExecGate::new(4, 4, AdmissionPolicy::DeadlineDrop(Duration::ZERO));
+        let admitted = Instant::now();
+        crate::poll::wait_for(Duration::from_secs(5), "clock advanced", || {
+            admitted.elapsed() > Duration::ZERO
+        });
+        // Uncontended, yet past its deadline: dropped, slot returned.
+        assert_eq!(gate.enter(admitted).err(), Some(Refused::Expired));
+        assert_eq!(gate.running(), 0);
+        assert_eq!(gate.depth_gauge().get(), 0, "the fast path never waits");
+    }
+
+    #[test]
+    fn gate_never_runs_more_than_its_slots() {
+        let gate = Arc::new(ExecGate::new(3, 2, AdmissionPolicy::Block));
+        let inside = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let (gate, inside, peak) =
+                    (Arc::clone(&gate), Arc::clone(&inside), Arc::clone(&peak));
+                thread::spawn(move || {
+                    for _ in 0..2_000 {
+                        let _permit = gate.enter(Instant::now()).expect("block never refuses");
+                        let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        thread::yield_now();
+                        inside.fetch_sub(1, Ordering::SeqCst);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert!(peak.load(Ordering::SeqCst) <= 3);
+        assert!(gate.peak_running() <= 3);
+        assert!(gate.depth_gauge().get() <= 2, "waiting room overfilled");
+        assert_eq!((gate.running(), gate.waiting()), (0, 0));
     }
 
     #[test]
     fn expired_requests_are_classified_at_dequeue() {
         let (aq, wq) =
             admission_queue::<u32>(8, AdmissionPolicy::DeadlineDrop(Duration::from_millis(5)));
-        let submitted = std::time::Instant::now();
-        assert_eq!(aq.submit(7), Admitted::Queued);
+        let submitted = Instant::now();
+        assert!(matches!(aq.offer_at(7, submitted), Offered::Queued));
         // Wait on the condition itself (queue time past the deadline),
         // not a fixed sleep that merely implies it.
         crate::poll::wait_for(Duration::from_secs(5), "deadline exceeded", || {
@@ -328,7 +594,7 @@ mod tests {
         // A fresh request under a generous deadline survives.
         let (aq, wq) =
             admission_queue::<u32>(8, AdmissionPolicy::DeadlineDrop(Duration::from_secs(10)));
-        assert_eq!(aq.submit(8), Admitted::Queued);
+        assert!(matches!(aq.offer_at(8, Instant::now()), Offered::Queued));
         match wq.pop(Duration::from_millis(10)) {
             Popped::Item(8) => {}
             other => panic!("expected Item(8), got {other:?}"),
@@ -350,7 +616,7 @@ mod tests {
         }
         assert!(matches!(aq.offer_at(2, Instant::now()), Offered::Queued));
 
-        // Full under Shed: refused outright, same as submit.
+        // Full under Shed: refused outright.
         let (aq, _wq) = admission_queue::<u32>(1, AdmissionPolicy::Shed);
         assert!(matches!(aq.offer_at(1, Instant::now()), Offered::Queued));
         assert!(matches!(aq.offer_at(2, Instant::now()), Offered::Shed));
@@ -375,7 +641,7 @@ mod tests {
     fn drop_of_consumers_closes_admission() {
         let (aq, wq) = admission_queue::<u32>(1, AdmissionPolicy::Block);
         drop(wq);
-        assert_eq!(aq.submit(1), Admitted::Closed);
+        assert!(matches!(aq.offer_at(1, Instant::now()), Offered::Closed));
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //! thousands of mostly-idle connections means tens of thousands of
 //! stacks and a scheduler meltdown long before BP-Wrapper's lock-free
 //! batching becomes the bottleneck. Here, socket I/O is owned by a
-//! single loop thread; decoded requests still flow through the same
-//! admission queue to the same worker pool (each worker holding its
-//! long-lived `PoolSession`), so overload policy and every replacement
-//! scheme behave identically in both modes.
+//! single loop thread. That thread must never block — a miss would
+//! stall every connection — so unlike the threaded frontend's
+//! run-to-completion connection threads it does not execute requests:
+//! decoded requests flow through an admission queue to a worker pool
+//! (each worker holding its long-lived `PoolSession`). The queue applies
+//! the same overload policies and bounds as the threaded frontend's
+//! gate, and execution goes through the same helper, so every
+//! replacement scheme behaves identically in both modes.
 //!
 //! ## Per-connection state machine
 //!
@@ -50,12 +54,12 @@ use std::time::{Duration, Instant};
 
 use bpw_evl::{Epoll, Interest, Ready, WakeFd, WriteBuf};
 
-use crate::backpressure::{AdmissionQueue, Offered};
+use crate::backpressure::{AdmissionQueue, Offered, Popped, WorkQueue};
 use crate::metrics::{OpKind, Stage};
 use crate::protocol::{FrameDecoder, Request, Response};
 use crate::server::{
-    metrics_text, next_conn_id, next_request_id, op_kind, stats_json, Job, ReplyTo, RequestCtx,
-    Shared,
+    execute_admitted, metrics_text, next_conn_id, next_request_id, op_kind, stats_json, RequestCtx,
+    Shared, IDLE_COMMIT,
 };
 
 const TOK_LISTENER: u64 = 0;
@@ -101,6 +105,43 @@ impl Completions {
 
     fn drain(&self) -> Vec<(u64, u64, Response)> {
         std::mem::take(&mut *self.queue.lock().expect("completions lock"))
+    }
+}
+
+/// One data request handed to a worker: the decoded message, when it
+/// was admitted, and where the reply goes — the loop's completion
+/// queue, tagged with the connection token and pipeline sequence number
+/// so the loop can put it back in request order.
+pub(crate) struct Job {
+    req: Request,
+    kind: OpKind,
+    admitted: Instant,
+    ctx: RequestCtx,
+    token: u64,
+    seq: u64,
+    completions: Arc<Completions>,
+}
+
+/// One worker: executes queued jobs on its long-lived session and
+/// hands each response back to the loop.
+pub(crate) fn worker_loop(shared: &Shared, work: &WorkQueue<Job>) {
+    let mut session = shared.pool.session();
+    loop {
+        match work.pop(IDLE_COMMIT) {
+            Popped::Item(job) => {
+                bpw_trace::set_current_request(job.ctx.id);
+                let resp = execute_admitted(&mut session, shared, &job.req, job.kind, job.admitted);
+                job.completions.push(job.token, job.seq, resp);
+                bpw_trace::set_current_request(0);
+            }
+            Popped::Expired(job) => job.completions.push(job.token, job.seq, Response::Dropped),
+            Popped::Timeout => {
+                // Idle: commit any deferred BP-Wrapper bookkeeping so the
+                // replacement algorithm doesn't go stale between bursts.
+                session.flush();
+            }
+            Popped::Disconnected => break,
+        }
     }
 }
 
@@ -483,12 +524,7 @@ impl EventLoop {
 
     /// Offer a data request to the admission queue (non-blocking).
     fn offer(&mut self, token: u64, seq: u64, req: Request, admitted: Instant, ctx: RequestCtx) {
-        let kind = match &req {
-            Request::Get { .. } => OpKind::Get,
-            Request::Put { .. } => OpKind::Put,
-            Request::Scan { .. } => OpKind::Scan,
-            _ => unreachable!("control requests are dispatched inline"),
-        };
+        let kind = op_kind(&req).expect("control requests are dispatched inline");
         // Attribute the enqueue event, then detach: the loop thread is
         // about to work on other requests, and its wakeup spans must
         // stay unowned.
@@ -497,13 +533,12 @@ impl EventLoop {
         bpw_trace::set_current_request(0);
         let job = Job {
             req,
+            kind,
             admitted,
             ctx,
-            reply: ReplyTo::Loop {
-                completions: Arc::clone(&self.completions),
-                token,
-                seq,
-            },
+            token,
+            seq,
+            completions: Arc::clone(&self.completions),
         };
         let Some(conn) = self.conns.get_mut(&token) else {
             return;

@@ -1,10 +1,12 @@
 //! # bpw-server
 //!
 //! A concurrent page-service frontend over the BP-Wrapper buffer pool:
-//! a length-prefixed TCP protocol ([`protocol`]), a fixed worker pool
-//! fed through an admission-controlled queue ([`backpressure`],
-//! [`server`]), a blocking [`client`], a workload-driven load generator
-//! ([`loadgen`]), and end-to-end latency observability ([`metrics`]).
+//! a length-prefixed TCP protocol ([`protocol`]), connection threads
+//! that execute their own requests behind an admission gate, or an
+//! event loop feeding a worker pool through an admission queue
+//! ([`backpressure`], [`server`]), a blocking [`client`], a
+//! workload-driven load generator ([`loadgen`]), and end-to-end latency
+//! observability ([`metrics`]).
 //!
 //! The paper's claim is about lock contention *inside* the buffer
 //! manager; this crate puts a realistic service in front of it so the
@@ -36,7 +38,7 @@ pub mod poll;
 pub mod protocol;
 pub mod server;
 
-pub use backpressure::{AdmissionPolicy, AdmissionQueue, Admitted, Popped, WorkQueue};
+pub use backpressure::{AdmissionPolicy, AdmissionQueue, Popped, WorkQueue};
 pub use bpw_bufferpool::{FaultPlan, FaultyDisk};
 pub use client::Client;
 pub use loadgen::{LoadConfig, LoadMode, LoadReport};

@@ -295,25 +295,77 @@ pub fn write_frame_unflushed(w: &mut impl Write, body: &[u8]) -> io::Result<()> 
 /// a frame boundary (peer closed), `Err` on truncation, zero-length, or
 /// oversize.
 pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
+    read_frame_inner(r, buf, None)
+}
+
+/// [`read_frame`] for a socket with a read timeout. A timeout between
+/// frames calls `on_idle` and keeps waiting; a timeout mid-frame just
+/// keeps reading, so a slow sender is never cut off.
+pub fn read_frame_or_idle(
+    r: &mut impl Read,
+    buf: &mut Vec<u8>,
+    on_idle: &mut dyn FnMut(),
+) -> io::Result<bool> {
+    read_frame_inner(r, buf, Some(on_idle))
+}
+
+/// With `on_idle` absent, a timeout is an error like any other.
+fn read_frame_inner(
+    r: &mut impl Read,
+    buf: &mut Vec<u8>,
+    mut on_idle: Option<&mut dyn FnMut()>,
+) -> io::Result<bool> {
+    // Whether a read error is a timeout to wait through (and, between
+    // frames, report as idleness).
+    let mut waits = |e: &io::Error, at_boundary: bool| {
+        let timeout = matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        );
+        match on_idle.as_mut() {
+            Some(idle) if timeout => {
+                if at_boundary {
+                    idle();
+                }
+                true
+            }
+            _ => e.kind() == io::ErrorKind::Interrupted,
+        }
+    };
     let mut header = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
-        match r.read(&mut header[filled..])? {
-            0 if filled == 0 => return Ok(false),
-            0 => {
+        match r.read(&mut header[filled..]) {
+            Ok(0) if filled == 0 => return Ok(false),
+            Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "connection closed mid-header",
                 ))
             }
-            n => filled += n,
+            Ok(n) => filled += n,
+            Err(e) if waits(&e, filled == 0) => {}
+            Err(e) => return Err(e),
         }
     }
     let len = u32::from_le_bytes(header) as usize;
     validate_frame_len(len)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     buf.resize(len, 0);
-    r.read_exact(buf)?;
+    let mut got = 0;
+    while got < len {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "connection closed mid-frame",
+                ))
+            }
+            Ok(n) => got += n,
+            Err(e) if waits(&e, false) => {}
+            Err(e) => return Err(e),
+        }
+    }
     Ok(true)
 }
 
@@ -623,6 +675,59 @@ mod tests {
         let mut buf = Vec::new();
         let err = read_frame(&mut r, &mut buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A socket stand-in: each step yields some bytes or one timeout.
+    struct Scripted(std::collections::VecDeque<Option<Vec<u8>>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(io::ErrorKind::WouldBlock.into()),
+                Some(Some(mut bytes)) => {
+                    let n = bytes.len().min(out.len());
+                    out[..n].copy_from_slice(&bytes[..n]);
+                    if n < bytes.len() {
+                        self.0.push_front(Some(bytes.split_off(n)));
+                    }
+                    Ok(n)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn idle_reads_report_only_boundary_timeouts() {
+        let body = Request::Get { page: 9 }.encode();
+        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&body);
+        // Idle twice before the frame, then time out mid-header and
+        // mid-body: the frame still arrives whole, and only the two
+        // boundary timeouts count as idleness.
+        let mut r = Scripted(
+            [
+                None,
+                None,
+                Some(wire[..2].to_vec()),
+                None,
+                Some(wire[2..6].to_vec()),
+                None,
+                Some(wire[6..].to_vec()),
+            ]
+            .into_iter()
+            .collect(),
+        );
+        let mut idles = 0;
+        let mut buf = Vec::new();
+        assert!(read_frame_or_idle(&mut r, &mut buf, &mut || idles += 1).unwrap());
+        assert_eq!(Request::decode(&buf).unwrap(), Request::Get { page: 9 });
+        assert_eq!(idles, 2);
+        assert!(!read_frame_or_idle(&mut r, &mut buf, &mut || idles += 1).unwrap());
+        // Without an idle hook a timeout is an error, as before.
+        let mut r = Scripted([None].into_iter().collect());
+        let err = read_frame(&mut r, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
     }
 
     #[test]

@@ -144,6 +144,13 @@ fn busy_invalidate_retry_during_swaps(mode: FrontendMode) {
         })
     };
 
+    // The swapper must have completed a swap before the pin below, or
+    // nothing races the invalidation and the test proves nothing.
+    let swap = server.adaptive_swap().expect("adaptive layer installed");
+    bpw_server::wait_for(Duration::from_secs(10), "a completed swap", || {
+        swap.swaps() >= 1
+    });
+
     // Pin the page directly, then invalidate: must answer Busy (a
     // retryable outcome), not hang on the in-flight swaps.
     {

@@ -19,8 +19,8 @@ use std::time::Duration;
 
 use bpw_metrics::JsonValue;
 use bpw_server::{
-    loadgen, AdmissionPolicy, Client, FrontendMode, LoadConfig, LoadMode, Request, Response,
-    Server, ServerConfig,
+    loadgen, AdmissionPolicy, Client, FaultPlan, FrontendMode, LoadConfig, LoadMode, Request,
+    Response, Server, ServerConfig,
 };
 use bpw_workloads::{zipf::splitmix64, PageStream, Workload, ZipfWorkload};
 
@@ -832,6 +832,101 @@ fn mid_request_disconnect_leaks_nothing(mode: FrontendMode) {
     server.join();
 }
 
+/// `workers` bounds execution on run-to-completion connection threads:
+/// with two slots, a slow disk and eight busy connections, requests
+/// pile up waiting, yet no more than two ever execute at once. The
+/// bound is read from the gate's slot high-water mark, not inferred
+/// from timing. (The event loop's bound is its worker count.)
+#[test]
+fn workers_bound_concurrent_execution() {
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        queue_capacity: 64,
+        policy: AdmissionPolicy::Block,
+        frames: 16,
+        page_size: PAGE_SIZE,
+        pages: PAGES,
+        manager: "wrapped-2q".into(),
+        mode: FrontendMode::Threaded,
+        // Every storage access sleeps 2 ms while holding its slot.
+        fault_plan: Some(FaultPlan {
+            spike_ppm: 1_000_000,
+            spike: Duration::from_millis(2),
+            ..FaultPlan::default()
+        }),
+        ..ServerConfig::default()
+    })
+    .expect("server start");
+    let addr = server.addr();
+    std::thread::scope(|sc| {
+        for t in 0..8u64 {
+            sc.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                // Distinct pages, far more than the 16 frames: every GET
+                // misses and pays the spike.
+                for i in 0..10u64 {
+                    let page = t * 10 + i;
+                    match client.get(page).expect("get io") {
+                        Response::Ok(bytes) => assert_eq!(bytes.len(), PAGE_SIZE),
+                        other => panic!("GET {page} answered {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+    let peak = server
+        .exec_gate()
+        .expect("threaded frontend")
+        .peak_running();
+    assert!(
+        peak <= 2,
+        "{peak} requests executed at once with workers: 2"
+    );
+    assert_eq!(
+        peak, 2,
+        "both slots were never busy at once; the bound went untested"
+    );
+    let stats = server.stats_json();
+    let v = JsonValue::parse(&stats).unwrap();
+    assert!(
+        v.get("peak_queue_depth")
+            .and_then(JsonValue::as_u64)
+            .is_some_and(|d| d > 0),
+        "no request ever waited for a slot: {stats}"
+    );
+    server.join();
+}
+
+/// A connection that goes idle commits its deferred BP-Wrapper
+/// accesses: fewer hits than the batch threshold would otherwise sit in
+/// a private queue until the next burst, and the replacement policy
+/// would never learn of them.
+fn idle_connection_commits_deferred_hits(mode: FrontendMode) {
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // Load four pages: each miss commits under the replacement lock.
+    for page in 0..4u64 {
+        assert!(matches!(client.get(page).unwrap(), Response::Ok(_)));
+    }
+    let before = server.pool().manager().lock_snapshot().accesses_covered;
+    // Ten hits, well under the default batch threshold of 32: deferred.
+    const HITS: u64 = 10;
+    for i in 0..HITS {
+        assert!(matches!(client.get(i % 4).unwrap(), Response::Ok(_)));
+    }
+    // The client now goes idle (keeping its connection open).
+    let manager = server.pool().manager();
+    assert!(
+        bpw_server::poll_until(Duration::from_secs(10), || {
+            manager.lock_snapshot().accesses_covered >= before + HITS
+        }),
+        "idle connection left hits uncommitted: {} of {HITS} covered",
+        manager.lock_snapshot().accesses_covered - before
+    );
+    drop(client);
+    server.join();
+}
+
 /// Dimension check promised by the workload contract: every generated
 /// page id stays inside the universe the server was configured with.
 #[test]
@@ -879,4 +974,5 @@ both_frontends!(
     pipelined_responses_arrive_in_request_order,
     slowloris_client_cannot_stall_others,
     mid_request_disconnect_leaks_nothing,
+    idle_connection_commits_deferred_hits,
 );
