@@ -1,15 +1,10 @@
 //! Admission control: where overload becomes visible, so the policy
 //! decision lives here rather than in the protocol or execution code.
 //!
-//! Two admission shapes share the three policies:
-//!
-//! * [`ExecGate`] — the threaded frontend's run-to-completion gate. A
-//!   connection thread executes its own requests once the gate grants
-//!   it one of `workers` execution slots; at most `queue_capacity`
-//!   requests wait for a slot.
-//! * [`AdmissionQueue`] / [`WorkQueue`] — the event loop's bounded queue
-//!   in front of its worker pool (the loop thread itself must never
-//!   block on a miss, so it hands requests off instead).
+//! [`ExecGate`] is the run-to-completion gate in front of execution. A
+//! connection thread executes its own requests once the gate grants it
+//! one of `workers` execution slots; at most `queue_capacity` requests
+//! wait for a slot.
 //!
 //! The policies:
 //!
@@ -26,8 +21,6 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
 
 use bpw_metrics::MaxGauge;
 
@@ -72,159 +65,6 @@ impl FromStr for AdmissionPolicy {
                     "unknown admission policy {other:?} (want block, shed, or drop:MS)"
                 )),
             },
-        }
-    }
-}
-
-/// What a non-blocking [`AdmissionQueue::offer_at`] did with a request.
-#[derive(Debug)]
-pub enum Offered<T> {
-    /// Queued without blocking.
-    Queued,
-    /// Refused under [`AdmissionPolicy::Shed`] (reply `BUSY`).
-    Shed,
-    /// The queue is full under a blocking policy; the item comes back
-    /// so the caller can park it and retry when capacity frees up —
-    /// the event loop's version of "the producer waits".
-    Full(T),
-    /// All workers are gone; the server is shutting down.
-    Closed,
-}
-
-/// What a worker got from `pop`.
-#[derive(Debug)]
-pub enum Popped<T> {
-    /// A live request.
-    Item(T),
-    /// A request whose deadline passed while it sat in the queue. The
-    /// worker must still reply `DROPPED` to it.
-    Expired(T),
-    /// Nothing arrived within the timeout; re-check shutdown and loop.
-    Timeout,
-    /// All producers are gone.
-    Disconnected,
-}
-
-struct Entry<T> {
-    item: T,
-    enqueued: Instant,
-}
-
-/// A bounded MPMC request queue with policy-aware admission.
-///
-/// Cloneable on both ends: the event loop holds an [`AdmissionQueue`]
-/// (producer side), every worker holds a [`WorkQueue`] (consumer side).
-/// Queue depth is tracked with a [`MaxGauge`] so STATS can report the
-/// high-water mark.
-pub struct AdmissionQueue<T> {
-    tx: Sender<Entry<T>>,
-    policy: AdmissionPolicy,
-    depth: Arc<MaxGauge>,
-}
-
-impl<T> Clone for AdmissionQueue<T> {
-    fn clone(&self) -> Self {
-        AdmissionQueue {
-            tx: self.tx.clone(),
-            policy: self.policy,
-            depth: Arc::clone(&self.depth),
-        }
-    }
-}
-
-/// The consumer side of an [`AdmissionQueue`].
-pub struct WorkQueue<T> {
-    rx: Receiver<Entry<T>>,
-    policy: AdmissionPolicy,
-}
-
-impl<T> Clone for WorkQueue<T> {
-    fn clone(&self) -> Self {
-        WorkQueue {
-            rx: self.rx.clone(),
-            policy: self.policy,
-        }
-    }
-}
-
-/// Build a queue holding at most `capacity` requests.
-pub fn admission_queue<T>(
-    capacity: usize,
-    policy: AdmissionPolicy,
-) -> (AdmissionQueue<T>, WorkQueue<T>) {
-    let (tx, rx) = channel::bounded(capacity);
-    (
-        AdmissionQueue {
-            tx,
-            policy,
-            depth: Arc::new(MaxGauge::new()),
-        },
-        WorkQueue { rx, policy },
-    )
-}
-
-impl<T> AdmissionQueue<T> {
-    /// Submit without ever blocking the caller — the admission path for
-    /// the event-loop frontend, whose one thread owns every connection
-    /// and must not stall on any of them.
-    ///
-    /// `enqueued` backdates the entry: a request that sat parked in the
-    /// loop's stall buffer keeps its original arrival time, so
-    /// [`AdmissionPolicy::DeadlineDrop`] measures true end-to-end
-    /// staleness exactly as the blocking path does.
-    pub fn offer_at(&self, item: T, enqueued: Instant) -> Offered<T> {
-        match self.tx.try_send(Entry { item, enqueued }) {
-            Ok(()) => {
-                self.depth.observe(self.tx.len() as u64);
-                Offered::Queued
-            }
-            Err(TrySendError::Full(entry)) => match self.policy {
-                AdmissionPolicy::Shed => Offered::Shed,
-                AdmissionPolicy::Block | AdmissionPolicy::DeadlineDrop(_) => {
-                    Offered::Full(entry.item)
-                }
-            },
-            Err(TrySendError::Disconnected(_)) => Offered::Closed,
-        }
-    }
-
-    /// Highest queue depth observed at any offer.
-    pub fn peak_depth(&self) -> u64 {
-        self.depth.get()
-    }
-
-    /// Shared handle to the depth gauge, so stats reporting can outlive
-    /// (and live apart from) the queue's sender side.
-    pub fn depth_gauge(&self) -> Arc<MaxGauge> {
-        Arc::clone(&self.depth)
-    }
-
-    /// Requests queued right now.
-    pub fn depth(&self) -> usize {
-        self.tx.len()
-    }
-
-    /// Policy this queue was built with.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-}
-
-impl<T> WorkQueue<T> {
-    /// Wait up to `timeout` for a request, classifying it against the
-    /// deadline policy.
-    pub fn pop(&self, timeout: Duration) -> Popped<T> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(entry) => {
-                if let AdmissionPolicy::DeadlineDrop(deadline) = self.policy {
-                    if entry.enqueued.elapsed() > deadline {
-                        return Popped::Expired(entry.item);
-                    }
-                }
-                Popped::Item(entry.item)
-            }
-            Err(RecvTimeoutError::Timeout) => Popped::Timeout,
-            Err(RecvTimeoutError::Disconnected) => Popped::Disconnected,
         }
     }
 }
@@ -400,7 +240,7 @@ impl ExecGate {
     }
 
     /// Shared handle to the waiting-room high-water mark (the STATS
-    /// `peak_queue_depth` under the threaded frontend).
+    /// `peak_queue_depth`).
     pub fn depth_gauge(&self) -> Arc<MaxGauge> {
         Arc::clone(&self.depth)
     }
@@ -574,87 +414,5 @@ mod tests {
         assert!(gate.peak_running() <= 3);
         assert!(gate.depth_gauge().get() <= 2, "waiting room overfilled");
         assert_eq!((gate.running(), gate.waiting()), (0, 0));
-    }
-
-    #[test]
-    fn expired_requests_are_classified_at_dequeue() {
-        let (aq, wq) =
-            admission_queue::<u32>(8, AdmissionPolicy::DeadlineDrop(Duration::from_millis(5)));
-        let submitted = Instant::now();
-        assert!(matches!(aq.offer_at(7, submitted), Offered::Queued));
-        // Wait on the condition itself (queue time past the deadline),
-        // not a fixed sleep that merely implies it.
-        crate::poll::wait_for(Duration::from_secs(5), "deadline exceeded", || {
-            submitted.elapsed() > Duration::from_millis(6)
-        });
-        match wq.pop(Duration::from_millis(10)) {
-            Popped::Expired(7) => {}
-            other => panic!("expected Expired(7), got {other:?}"),
-        }
-        // A fresh request under a generous deadline survives.
-        let (aq, wq) =
-            admission_queue::<u32>(8, AdmissionPolicy::DeadlineDrop(Duration::from_secs(10)));
-        assert!(matches!(aq.offer_at(8, Instant::now()), Offered::Queued));
-        match wq.pop(Duration::from_millis(10)) {
-            Popped::Item(8) => {}
-            other => panic!("expected Item(8), got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn offer_never_blocks_and_returns_the_item_when_full() {
-        let (aq, wq) = admission_queue::<u32>(1, AdmissionPolicy::Block);
-        assert!(matches!(aq.offer_at(1, Instant::now()), Offered::Queued));
-        // Full under Block: the item comes back for a later retry.
-        match aq.offer_at(2, Instant::now()) {
-            Offered::Full(2) => {}
-            other => panic!("expected Full(2), got {other:?}"),
-        }
-        match wq.pop(Duration::from_millis(50)) {
-            Popped::Item(1) => {}
-            other => panic!("expected Item(1), got {other:?}"),
-        }
-        assert!(matches!(aq.offer_at(2, Instant::now()), Offered::Queued));
-
-        // Full under Shed: refused outright.
-        let (aq, _wq) = admission_queue::<u32>(1, AdmissionPolicy::Shed);
-        assert!(matches!(aq.offer_at(1, Instant::now()), Offered::Queued));
-        assert!(matches!(aq.offer_at(2, Instant::now()), Offered::Shed));
-    }
-
-    #[test]
-    fn offer_backdates_the_deadline_clock() {
-        // A request that waited in the loop's stall buffer keeps its
-        // original arrival time: offered "in the past", it must pop as
-        // Expired under a deadline shorter than that backdating.
-        let (aq, wq) =
-            admission_queue::<u32>(8, AdmissionPolicy::DeadlineDrop(Duration::from_millis(10)));
-        let long_ago = Instant::now() - Duration::from_millis(250);
-        assert!(matches!(aq.offer_at(5, long_ago), Offered::Queued));
-        match wq.pop(Duration::from_millis(50)) {
-            Popped::Expired(5) => {}
-            other => panic!("expected Expired(5), got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn drop_of_consumers_closes_admission() {
-        let (aq, wq) = admission_queue::<u32>(1, AdmissionPolicy::Block);
-        drop(wq);
-        assert!(matches!(aq.offer_at(1, Instant::now()), Offered::Closed));
-    }
-
-    #[test]
-    fn timeout_and_disconnect_surface_to_workers() {
-        let (aq, wq) = admission_queue::<u32>(1, AdmissionPolicy::Block);
-        match wq.pop(Duration::from_millis(5)) {
-            Popped::Timeout => {}
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-        drop(aq);
-        match wq.pop(Duration::from_millis(5)) {
-            Popped::Disconnected => {}
-            other => panic!("expected Disconnected, got {other:?}"),
-        }
     }
 }

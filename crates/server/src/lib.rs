@@ -1,9 +1,8 @@
 //! # bpw-server
 //!
 //! A concurrent page-service frontend over the BP-Wrapper buffer pool:
-//! a length-prefixed TCP protocol ([`protocol`]), connection threads
-//! that execute their own requests behind an admission gate, or an
-//! event loop feeding a worker pool through an admission queue
+//! a length-prefixed TCP protocol ([`protocol`]), one thread per
+//! connection that executes its own requests behind an admission gate
 //! ([`backpressure`], [`server`]), a blocking [`client`], a
 //! workload-driven load generator ([`loadgen`]), and end-to-end latency
 //! observability ([`metrics`]).
@@ -31,18 +30,17 @@
 
 pub mod backpressure;
 pub mod client;
-mod eventloop;
 pub mod loadgen;
 pub mod metrics;
 pub mod poll;
 pub mod protocol;
 pub mod server;
 
-pub use backpressure::{AdmissionPolicy, AdmissionQueue, Popped, WorkQueue};
+pub use backpressure::AdmissionPolicy;
 pub use bpw_bufferpool::{FaultPlan, FaultyDisk};
 pub use client::Client;
 pub use loadgen::{LoadConfig, LoadMode, LoadReport};
 pub use metrics::{OpKind, PoolCounters, ServerMetrics};
 pub use poll::{poll_until, wait_for};
 pub use protocol::{Request, Response, MAX_FRAME};
-pub use server::{build_manager, build_manager_with, DynPool, FrontendMode, Server, ServerConfig};
+pub use server::{build_manager, build_manager_with, DynPool, Server, ServerConfig};

@@ -2,8 +2,7 @@
 //! run the built-in coarse-vs-BP-Wrapper comparison.
 //!
 //! ```text
-//! bpw-server serve   [--addr H:P] [--mode threaded|eventloop] [--workers N]
-//!                    [--queue N] [--policy P] [--max-pipeline N]
+//! bpw-server serve   [--addr H:P] [--workers N] [--queue N] [--policy P]
 //!                    [--frames N] [--page-size B] [--pages N] [--manager SPEC]
 //!                    [--combining off|overflow|flat] [--miss-shards N] [--slo-us U]
 //!                    [--adaptive true]
@@ -15,11 +14,10 @@
 //!                    [--workload zipf|dbt1|dbt2|scan] [--zipf-pages N]
 //!                    [--theta F] [--seed S]
 //! bpw-server bench   [--out FILE] [--requests N] [--connections LIST]
-//!                    [--fe-connections LIST] [--pipeline N] [--quick true]
+//!                    [--workers N]
 //! bpw-server smoke   [--out FILE] [--faulty true]
 //! bpw-server chaos   [--out FILE] [--requests N] [--fault-seed S]
 //! bpw-server stages  [--out FILE] [--requests N] [--slo-us U]
-//!                    [--mode threaded|eventloop]
 //! ```
 //!
 //! `serve --slo-us U` arms the tail-latency flight recorder: tracing
@@ -48,7 +46,7 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use bpw_metrics::JsonObject;
-use bpw_server::{loadgen, FaultPlan, FrontendMode, LoadConfig, LoadMode, Server, ServerConfig};
+use bpw_server::{loadgen, FaultPlan, LoadConfig, LoadMode, Server, ServerConfig};
 use bpw_workloads::{Workload, WorkloadKind, ZipfWorkload};
 
 fn main() {
@@ -162,8 +160,6 @@ fn server_config(flags: &HashMap<String, String>) -> Result<ServerConfig, String
             None => None,
         },
         fault_plan: fault_plan(flags)?,
-        mode: get(flags, "mode", d.mode)?,
-        max_pipeline: get(flags, "max-pipeline", d.max_pipeline)?,
         slo_us: match flags.get("slo-us") {
             Some(v) => Some(v.parse().map_err(|e| format!("--slo-us {v:?}: {e}"))?),
             None => None,
@@ -176,9 +172,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let config = server_config(flags)?;
     let server = Server::start(config.clone()).map_err(|e| e.to_string())?;
     println!(
-        "bpw-server listening on {} — {} frontend, manager {}, {} workers, policy {}, queue {}",
+        "bpw-server listening on {} — manager {}, {} workers, policy {}, queue {}",
         server.addr(),
-        config.mode,
         server.pool().manager().name(),
         config.workers,
         config.policy,
@@ -240,20 +235,13 @@ fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), String> {
 
 /// The headline end-to-end comparison: the same load through the same
 /// server, differing only in the replacement manager's synchronization
-/// scheme — and, in a second section, differing only in the frontend's
-/// concurrency model (thread-per-connection vs readiness event loop).
-/// Writes a JSON-lines artifact and prints a table.
-///
-/// `--quick true` runs only the frontend comparison at 16 connections
-/// and fails unless the event loop at least matches the threaded
-/// frontend's throughput — the CI regression gate for the loop.
+/// scheme. Writes a JSON-lines artifact and prints a table.
 fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
     let out = flags
         .get("out")
         .cloned()
         .unwrap_or_else(|| "results/server_bench.jsonl".into());
-    let quick: bool = get(flags, "quick", false)?;
-    let requests: u64 = get(flags, "requests", if quick { 6_000 } else { 20_000 })?;
+    let requests: u64 = get(flags, "requests", 20_000)?;
     let conn_list = flags
         .get("connections")
         .cloned()
@@ -270,104 +258,18 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let workload = ZipfWorkload::new(16_384, 0.86, 8);
     let mut lines = Vec::new();
-    if !quick {
-        println!(
-            "{:<12} {:>5} {:>10} {:>10} {:>10} {:>12} {:>10}",
-            "manager", "conns", "req/s", "p99_us", "p999_us", "contention/M", "lock/M"
-        );
-        for manager in ["coarse-2q", "wrapped-2q"] {
-            for &conns in &connections {
-                let server = Server::start(ServerConfig {
-                    workers,
-                    frames: 4096,
-                    page_size: 256,
-                    pages: 16_384,
-                    manager: manager.into(),
-                    ..ServerConfig::default()
-                })
-                .map_err(|e| e.to_string())?;
-                let report = loadgen::run(
-                    server.addr(),
-                    &workload,
-                    &LoadConfig {
-                        connections: conns,
-                        requests_per_conn: requests / conns.max(1) as u64,
-                        write_fraction: 0.1,
-                        ..LoadConfig::default()
-                    },
-                );
-                let stats = server.pool().stats();
-                let accesses = stats.hits.load(std::sync::atomic::Ordering::Relaxed)
-                    + stats.misses.load(std::sync::atomic::Ordering::Relaxed);
-                let lock = server.pool().manager().lock_snapshot();
-                let cpm = lock.contentions_per_million(accesses);
-                // On a 1-core host contention events are rare for every
-                // scheme; acquisitions per access expose the amortization.
-                let apm = if accesses == 0 {
-                    0.0
-                } else {
-                    lock.acquisitions as f64 * 1e6 / accesses as f64
-                };
-                println!(
-                    "{:<12} {:>5} {:>10.0} {:>10} {:>10} {:>12.1} {:>10.0}",
-                    manager,
-                    conns,
-                    report.throughput(),
-                    report.latency_ns.quantile(0.99) / 1_000,
-                    report.latency_ns.quantile(0.999) / 1_000,
-                    cpm,
-                    apm
-                );
-                let mut o = JsonObject::new();
-                o.field_str("manager", manager)
-                    .field_u64("connections", conns as u64)
-                    .field_u64("workers", workers as u64)
-                    .field_f64("contentions_per_million", cpm)
-                    .field_u64("lock_acquisitions", lock.acquisitions)
-                    .field_f64("lock_acquisitions_per_million", apm)
-                    .field_u64("pool_accesses", accesses)
-                    .field_raw("load", &report.to_json());
-                lines.push(o.finish());
-                server.join();
-            }
-        }
-    }
-
-    // Frontend crossover: the same manager and load, threaded vs event
-    // loop, with pipelined clients at climbing connection counts. The
-    // threaded frontend pays a thread (stack + context switches) per
-    // connection; the loop pays one epoll registration — so the gap
-    // should widen with connections.
-    let fe_conn_list = flags.get("fe-connections").cloned().unwrap_or_else(|| {
-        if quick {
-            "16".into()
-        } else {
-            "4,16,64".into()
-        }
-    });
-    let fe_connections: Vec<usize> = fe_conn_list
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .map_err(|e| format!("--fe-connections {s:?}: {e}"))
-        })
-        .collect::<Result<_, String>>()?;
-    let pipeline: usize = get(flags, "pipeline", 8)?;
     println!(
-        "{:<10} {:>5} {:>10} {:>10} {:>10} {:>9} {:>12}",
-        "frontend", "conns", "req/s", "p99_us", "p999_us", "wakeups", "ready/wakeup"
+        "{:<12} {:>5} {:>10} {:>10} {:>10} {:>12} {:>10}",
+        "manager", "conns", "req/s", "p99_us", "p999_us", "contention/M", "lock/M"
     );
-    let mut fe_throughput: HashMap<(String, usize), f64> = HashMap::new();
-    for mode in [FrontendMode::Threaded, FrontendMode::EventLoop] {
-        for &conns in &fe_connections {
+    for manager in ["coarse-2q", "wrapped-2q"] {
+        for &conns in &connections {
             let server = Server::start(ServerConfig {
                 workers,
                 frames: 4096,
                 page_size: 256,
                 pages: 16_384,
-                manager: "wrapped-2q".into(),
-                mode,
+                manager: manager.into(),
                 ..ServerConfig::default()
             })
             .map_err(|e| e.to_string())?;
@@ -376,59 +278,45 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
                 &workload,
                 &LoadConfig {
                     connections: conns,
-                    requests_per_conn: (requests / conns.max(1) as u64).max(pipeline as u64),
+                    requests_per_conn: requests / conns.max(1) as u64,
                     write_fraction: 0.1,
-                    pipeline,
                     ..LoadConfig::default()
                 },
             );
-            let m = server.metrics();
-            let wakeups = m.epoll_wakeups.get();
-            let ready_mean = m.ready_per_wakeup.mean();
+            let stats = server.pool().stats();
+            let accesses = stats.hits.load(std::sync::atomic::Ordering::Relaxed)
+                + stats.misses.load(std::sync::atomic::Ordering::Relaxed);
+            let lock = server.pool().manager().lock_snapshot();
+            let cpm = lock.contentions_per_million(accesses);
+            // On a 1-core host contention events are rare for every
+            // scheme; acquisitions per access expose the amortization.
+            let apm = if accesses == 0 {
+                0.0
+            } else {
+                lock.acquisitions as f64 * 1e6 / accesses as f64
+            };
             println!(
-                "{:<10} {:>5} {:>10.0} {:>10} {:>10} {:>9} {:>12.2}",
-                mode.to_string(),
+                "{:<12} {:>5} {:>10.0} {:>10} {:>10} {:>12.1} {:>10.0}",
+                manager,
                 conns,
                 report.throughput(),
                 report.latency_ns.quantile(0.99) / 1_000,
                 report.latency_ns.quantile(0.999) / 1_000,
-                wakeups,
-                ready_mean
+                cpm,
+                apm
             );
             let mut o = JsonObject::new();
-            o.field_str("frontend", &mode.to_string())
-                .field_str("manager", "wrapped-2q")
+            o.field_str("manager", manager)
                 .field_u64("connections", conns as u64)
                 .field_u64("workers", workers as u64)
-                .field_u64("pipeline", pipeline as u64)
-                .field_u64("epoll_wakeups", wakeups)
-                .field_f64("ready_per_wakeup_mean", ready_mean)
-                .field_u64("short_writes", m.short_writes.get())
-                .field_u64("connections_peak", m.connections_open.peak())
-                .field_raw("pipeline_depth", &m.pipeline_depth.to_json())
+                .field_f64("contentions_per_million", cpm)
+                .field_u64("lock_acquisitions", lock.acquisitions)
+                .field_f64("lock_acquisitions_per_million", apm)
+                .field_u64("pool_accesses", accesses)
                 .field_raw("load", &report.to_json());
             lines.push(o.finish());
-            fe_throughput.insert((mode.to_string(), conns), report.throughput());
             server.join();
         }
-    }
-    let top = *fe_connections.iter().max().unwrap_or(&0);
-    let threaded = fe_throughput
-        .get(&("threaded".to_string(), top))
-        .copied()
-        .unwrap_or(0.0);
-    let evl = fe_throughput
-        .get(&("eventloop".to_string(), top))
-        .copied()
-        .unwrap_or(0.0);
-    println!(
-        "frontend crossover at {top} connections: eventloop {evl:.0} req/s vs threaded {threaded:.0} req/s ({:+.1}%)",
-        if threaded > 0.0 { (evl / threaded - 1.0) * 100.0 } else { 0.0 }
-    );
-    if quick && evl < threaded {
-        return Err(format!(
-            "event-loop frontend regressed below threaded at {top} connections: {evl:.0} < {threaded:.0} req/s"
-        ));
     }
 
     if let Some(dir) = std::path::Path::new(&out).parent() {
@@ -558,13 +446,11 @@ fn cmd_stages(flags: &HashMap<String, String>) -> Result<(), String> {
         .unwrap_or_else(|| "results/stage_latency.jsonl".into());
     let requests: u64 = get(flags, "requests", 8_000)?;
     let slo_us: u64 = get(flags, "slo-us", 500)?;
-    let mode: FrontendMode = get(flags, "mode", FrontendMode::Threaded)?;
     let server = Server::start(ServerConfig {
         workers: 4,
         frames: 1024,
         page_size: 256,
         pages: 16_384,
-        mode,
         slo_us: Some(slo_us),
         ..ServerConfig::default()
     })
@@ -640,7 +526,6 @@ fn cmd_stages(flags: &HashMap<String, String>) -> Result<(), String> {
                 .field_u64("p999_ns", q("p999"))
                 .field_u64("max_ns", q("max"))
                 .field_u64("slo_us", slo_us)
-                .field_str("frontend", &mode.to_string())
                 .field_u64(
                     "slo_violations",
                     slo.get(op).and_then(JsonValue::as_u64).unwrap_or(0),

@@ -1,8 +1,8 @@
 //! End-to-end latency observability for the page service.
 //!
-//! One [`ServerMetrics`] is shared by every connection thread and
-//! worker. Latency is measured from *admission* (the full request was
-//! read) to *reply encoded*, just before it is handed to the socket, so
+//! One [`ServerMetrics`] is shared by every connection thread. Latency
+//! is measured from *admission* (the full request was read) to *reply
+//! encoded*, just before it is handed to the socket, so
 //! queueing delay — the thing backpressure policies trade against loss
 //! — shows up in the histograms rather than being hidden inside
 //! execution. Each reply is counted before it is sent, so a client that
@@ -54,8 +54,7 @@ pub enum Stage {
     /// Parsing the request body out of a complete frame.
     Decode,
     /// From admission to the start of execution: waiting for an
-    /// execution slot (threaded) or in the admission queue for a worker
-    /// (event loop).
+    /// execution slot.
     QueueWait,
     /// Executing against the buffer pool, *minus* the miss-I/O and
     /// batch-commit time attributed below — a hit's latch-and-go cost.
@@ -67,9 +66,8 @@ pub enum Stage {
     /// hot path, where unconditional clocks would break the
     /// disabled-tracing budget).
     BatchCommit,
-    /// Writing the reply frame back toward the client (the socket write
-    /// under the threaded frontend; frame serialization into the
-    /// coalesced write buffer under the event loop).
+    /// Writing the reply frame back toward the client: encoding it and
+    /// the socket write.
     ReplyFlush,
 }
 
@@ -149,21 +147,15 @@ pub struct ServerMetrics {
     pub errors: Counter,
     /// Requests answered `ERR_IO` (storage failed after retries).
     pub io_errors: Counter,
-    /// Client connections currently open (both frontends track this;
-    /// the peak is the fan-in high-water mark).
+    /// Client connections currently open; the peak is the fan-in
+    /// high-water mark.
     pub connections_open: Gauge,
-    /// Event-loop wakeups (`epoll_wait` returns). Zero under the
-    /// threaded frontend.
+    /// Always 0: nothing records it. Kept only because the benchmark's
+    /// `evl.*` rows read it.
     pub epoll_wakeups: Counter,
-    /// Ready fds delivered per wakeup — how much work each syscall
-    /// amortizes. Zero-sample under the threaded frontend.
+    /// Always empty: nothing records it. Kept only because the
+    /// benchmark's `evl.*` rows read it.
     pub ready_per_wakeup: Histogram,
-    /// In-flight pipelined requests on a connection, observed at each
-    /// admission. Depth 1 is strict request/reply.
-    pub pipeline_depth: Histogram,
-    /// Nonblocking writes that accepted only part of the buffer — each
-    /// one is a stall a blocking connection thread would have eaten.
-    pub short_writes: Counter,
     /// Per-opcode, per-stage latency attribution (indexed by
     /// [`OpKind::index`]).
     pub stages: [StageSet; 3],
@@ -269,10 +261,6 @@ impl ServerMetrics {
             .field_u64("io_errors", self.io_errors.get())
             .field_u64("connections_open", self.connections_open.get())
             .field_u64("connections_peak", self.connections_open.peak())
-            .field_u64("epoll_wakeups", self.epoll_wakeups.get())
-            .field_u64("short_writes", self.short_writes.get())
-            .field_raw("pipeline_depth", &self.pipeline_depth.to_json())
-            .field_raw("ready_per_wakeup", &self.ready_per_wakeup.to_json())
             .field_u64("peak_queue_depth", *peak_queue_depth)
             .field_raw("get_ns", &self.get_ns.to_json())
             .field_raw("put_ns", &self.put_ns.to_json())
@@ -376,7 +364,7 @@ pub struct StatsSnapshot {
     pub miss_locks: LockShardSummary,
     /// Combining-commit counters (wrapped managers only).
     pub combining: Option<CombiningSnapshot>,
-    /// Admission-queue depth high-water mark.
+    /// The gate's waiting-room high-water mark.
     pub peak_queue_depth: u64,
 }
 
@@ -395,11 +383,6 @@ mod tests {
         m.connections_open.incr();
         m.connections_open.incr();
         m.connections_open.decr();
-        m.epoll_wakeups.add(7);
-        m.ready_per_wakeup.record(3);
-        m.pipeline_depth.record(4);
-        m.pipeline_depth.record(9);
-        m.short_writes.add(2);
         m.record_stage(OpKind::Get, Stage::QueueWait, 1_500);
         m.record_stage(OpKind::Get, Stage::QueueWait, 2_500);
         m.record_stage(OpKind::Get, Stage::PinHit, 800);
@@ -518,8 +501,7 @@ mod tests {
                 .and_then(JsonValue::as_u64),
             Some(6)
         );
-        // Event-loop observability: gauges, counters, and histograms
-        // round-trip with their exact wire names.
+        // The connection gauge round-trips with its exact wire names.
         assert_eq!(
             v.get("connections_open").and_then(JsonValue::as_u64),
             Some(1)
@@ -527,27 +509,6 @@ mod tests {
         assert_eq!(
             v.get("connections_peak").and_then(JsonValue::as_u64),
             Some(2)
-        );
-        assert_eq!(v.get("epoll_wakeups").and_then(JsonValue::as_u64), Some(7));
-        assert_eq!(v.get("short_writes").and_then(JsonValue::as_u64), Some(2));
-        assert_eq!(
-            v.get("pipeline_depth")
-                .and_then(|h| h.get("count"))
-                .and_then(JsonValue::as_u64),
-            Some(2)
-        );
-        assert!(
-            v.get("pipeline_depth")
-                .and_then(|h| h.get("max"))
-                .and_then(JsonValue::as_u64)
-                .is_some_and(|max| max >= 9),
-            "pipeline depth histogram must carry its max: {json}"
-        );
-        assert_eq!(
-            v.get("ready_per_wakeup")
-                .and_then(|h| h.get("count"))
-                .and_then(JsonValue::as_u64),
-            Some(1)
         );
         let trace = v.get("trace").expect("trace health sub-object");
         assert!(trace.get("enabled").is_some());

@@ -22,8 +22,8 @@
 //!                    METRICS: UTF-8 Prometheus-style text exposition;
 //!                    EXEMPLARS: UTF-8 Chrome-trace JSON (flight
 //!                    recorder's captured slow/failed requests)
-//!   BUSY     (0x01)  shed by admission control (queue full)
-//!   DROPPED  (0x02)  deadline exceeded while queued
+//!   BUSY     (0x01)  shed by admission control (waiting room full)
+//!   DROPPED  (0x02)  deadline exceeded while waiting
 //!   ERR      (0x03)  UTF-8 message
 //!   ERR_IO   (0x04)  UTF-8 message: storage failed after retries; the
 //!                    pool repaired itself and the request may simply be
@@ -79,8 +79,8 @@ pub enum Response {
     Ok(Vec<u8>),
     /// Shed by admission control before queueing.
     Busy,
-    /// Dropped after queueing: its deadline passed before a worker
-    /// picked it up.
+    /// Dropped after waiting: its deadline passed before it got an
+    /// execution slot.
     Dropped,
     /// Malformed request or execution failure.
     Err(String),

@@ -13,10 +13,6 @@
 //! its session's deferred accesses, so the replacement policy does not
 //! go stale between bursts.
 //!
-//! The event-loop frontend ([`crate::eventloop`]) instead queues
-//! requests to a worker pool: its one thread owns every socket and must
-//! never block on a miss.
-//!
 //! `STATS`, `METRICS`, and `SHUTDOWN` skip the gate: observability and
 //! control must keep working when the data path is saturated.
 
@@ -35,53 +31,9 @@ use bpw_core::{Combining, WrapperConfig};
 use bpw_metrics::JsonObject;
 use bpw_replacement::{Advisor, AdvisorConfig, PolicyKind, SampleTap};
 
-use crate::backpressure::{
-    admission_queue, AdmissionPolicy, AdmissionQueue, ExecGate, Refused, WorkQueue,
-};
-use crate::eventloop::{self, Completions, Job};
+use crate::backpressure::{AdmissionPolicy, ExecGate, Refused};
 use crate::metrics::{OpKind, PoolCounters, ServerMetrics, Stage, StatsSnapshot};
 use crate::protocol::{self, fnv1a, Request, Response};
-
-/// Which concurrency model serves client sockets.
-///
-/// Both frontends speak the same protocol over the same pool, with the
-/// same admission policies and bounds; only how sockets and execution
-/// are scheduled differs, so the choice is a deployment knob rather
-/// than a behaviour change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontendMode {
-    /// One thread per connection, blocking I/O, strict request/reply;
-    /// each connection thread executes its own requests.
-    #[default]
-    Threaded,
-    /// One readiness event loop (epoll) multiplexing every connection,
-    /// with request pipelining and batched writes; a worker pool
-    /// executes the requests.
-    EventLoop,
-}
-
-impl std::fmt::Display for FrontendMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            FrontendMode::Threaded => "threaded",
-            FrontendMode::EventLoop => "eventloop",
-        })
-    }
-}
-
-impl std::str::FromStr for FrontendMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "threaded" => Ok(FrontendMode::Threaded),
-            "eventloop" | "event-loop" | "evl" => Ok(FrontendMode::EventLoop),
-            other => Err(format!(
-                "unknown frontend mode {other:?} (want threaded or eventloop)"
-            )),
-        }
-    }
-}
 
 /// A buffer pool whose synchronization scheme was chosen at runtime.
 pub type DynPool = BufferPool<Box<dyn ReplacementManager>>;
@@ -91,11 +43,11 @@ pub type DynPool = BufferPool<Box<dyn ReplacementManager>>;
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Requests that may execute at once: the threaded frontend's
-    /// execution slots, the event loop's worker threads.
+    /// Requests that may execute at once: the admission gate's
+    /// execution slots.
     pub workers: usize,
-    /// Requests that may wait to execute: the threaded frontend's
-    /// waiting room, the event loop's admission queue.
+    /// Requests that may wait for an execution slot: the gate's waiting
+    /// room.
     pub queue_capacity: usize,
     /// Overload policy.
     pub policy: AdmissionPolicy,
@@ -121,11 +73,6 @@ pub struct ServerConfig {
     /// driven by this plan (chaos testing; see
     /// [`Server::faulty_disk`]).
     pub fault_plan: Option<FaultPlan>,
-    /// How client sockets are served (`--mode threaded|eventloop`).
-    pub mode: FrontendMode,
-    /// Event-loop mode only: requests a single connection may have in
-    /// flight before the loop stops reading from it.
-    pub max_pipeline: usize,
     /// Latency SLO in microseconds (`--slo-us`). When set, tracing is
     /// enabled, the flight recorder arms, and any request slower than
     /// this (or ending `ERR_IO`) is captured as an exemplar fetchable
@@ -153,37 +100,35 @@ impl Default for ServerConfig {
             combining: Combining::Off,
             miss_shards: None,
             fault_plan: None,
-            mode: FrontendMode::Threaded,
-            max_pipeline: 64,
             slo_us: None,
             adaptive: false,
         }
     }
 }
 
-/// Request-scoped identity, minted at admission and carried with the
-/// job so every layer (queue, worker, pool, commit, reply) can stamp
-/// its trace events and stage samples with the owning request.
+/// Request-scoped identity, minted once a data request is decoded, so
+/// every layer (gate, pool, commit, reply) can stamp its trace events
+/// and stage samples with the owning request.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RequestCtx {
+struct RequestCtx {
     /// Process-unique request id (never 0 — 0 means "unattributed").
-    pub(crate) id: u64,
+    id: u64,
     /// The owning connection's id.
-    pub(crate) conn: u64,
+    conn: u64,
     /// The request's opcode byte.
-    pub(crate) opcode: u8,
+    opcode: u8,
 }
 
 static NEXT_REQUEST_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 static NEXT_CONN_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 /// Mint a process-unique request id (monotonic, starts at 1).
-pub(crate) fn next_request_id() -> u64 {
+fn next_request_id() -> u64 {
     NEXT_REQUEST_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Mint a process-unique connection id (monotonic, starts at 1).
-pub(crate) fn next_conn_id() -> u64 {
+fn next_conn_id() -> u64 {
     NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed)
 }
 
@@ -225,51 +170,48 @@ pub fn build_manager_with(
 
 /// Adaptive-replacement state shared between the advisor thread and the
 /// STATS/METRICS renderers.
-pub(crate) struct AdaptiveShared {
+struct AdaptiveShared {
     /// The hot-swappable manager (the pool's `Box<dyn ReplacementManager>`
     /// forwards `swap_to` into this same instance via its `Arc`).
-    pub(crate) swap: Arc<SwapManager>,
+    swap: Arc<SwapManager>,
     /// Expert scorer; the advisor thread holds this lock only while
     /// feeding drained samples, never across a swap.
-    pub(crate) advisor: Mutex<Advisor>,
+    advisor: Mutex<Advisor>,
     /// The lossy sampled-access ring the fetch path feeds.
-    pub(crate) tap: Arc<SampleTap>,
+    tap: Arc<SampleTap>,
 }
 
-/// Shared state every thread of the server sees. Deliberately does NOT
-/// hold the event loop's admission-queue sender: workers carry this
-/// struct, and a worker owning a sender to its own queue would keep the
-/// channel connected forever and deadlock shutdown.
-pub(crate) struct Shared {
-    pub(crate) pool: Arc<DynPool>,
-    pub(crate) metrics: Arc<ServerMetrics>,
-    pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) pages: u64,
-    /// Waiting-request high-water mark (the gate's waiting room or the
-    /// event loop's admission queue).
-    pub(crate) depth: Arc<bpw_metrics::MaxGauge>,
+/// Shared state every thread of the server sees: the acceptor, every
+/// connection thread and the advisor.
+struct Shared {
+    pool: Arc<DynPool>,
+    metrics: Arc<ServerMetrics>,
+    stop: Arc<AtomicBool>,
+    pages: u64,
+    /// The gate's waiting-room high-water mark.
+    depth: Arc<bpw_metrics::MaxGauge>,
     /// Seqlock-cached pool-side aggregation for STATS/METRICS: one
     /// scrape per [`STATS_TTL`] pays the counter walk; the rest read
     /// the published snapshot without touching data-path cache lines.
-    pub(crate) stats_cache: bpw_metrics::SnapshotCache<StatsSnapshot>,
+    stats_cache: bpw_metrics::SnapshotCache<StatsSnapshot>,
     /// Present when the config enabled `--adaptive`.
-    pub(crate) adaptive: Option<Arc<AdaptiveShared>>,
+    adaptive: Option<Arc<AdaptiveShared>>,
 }
 
 /// How long a session sits idle before committing its deferred
 /// BP-Wrapper accesses: the connection thread's socket read timeout at
-/// a frame boundary, the event loop worker's empty-queue timeout.
-pub(crate) const IDLE_COMMIT: Duration = Duration::from_millis(50);
+/// a frame boundary.
+const IDLE_COMMIT: Duration = Duration::from_millis(50);
 
 /// How long a published [`StatsSnapshot`] is served before a scrape
 /// re-aggregates. Short enough that monitoring stays fresh; long enough
 /// that a scrape storm (many Prometheus pollers, dashboards) costs the
 /// data path one walk per interval instead of one per scrape.
-pub(crate) const STATS_TTL: Duration = Duration::from_millis(10);
+const STATS_TTL: Duration = Duration::from_millis(10);
 
 /// Monotone nanoseconds since the first call (the clock handed to the
 /// snapshot cache; `Instant` itself cannot live in an atomic).
-pub(crate) fn scrape_clock_ns() -> u64 {
+fn scrape_clock_ns() -> u64 {
     use std::sync::OnceLock;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
@@ -278,7 +220,7 @@ pub(crate) fn scrape_clock_ns() -> u64 {
 impl Shared {
     /// The current pool-side scalar snapshot, at most [`STATS_TTL`]
     /// stale, aggregating under the seqlock when it is older.
-    pub(crate) fn stats_snapshot(&self) -> StatsSnapshot {
+    fn stats_snapshot(&self) -> StatsSnapshot {
         self.stats_cache
             .get(scrape_clock_ns(), STATS_TTL.as_nanos() as u64, || {
                 self.aggregate_stats()
@@ -287,7 +229,7 @@ impl Shared {
 
     /// The uncached aggregation walk: every pool/lock scalar a scrape
     /// renders. This is the work the seqlock cache amortizes.
-    pub(crate) fn aggregate_stats(&self) -> StatsSnapshot {
+    fn aggregate_stats(&self) -> StatsSnapshot {
         let stats = self.pool.stats();
         StatsSnapshot {
             pool: PoolCounters {
@@ -311,14 +253,6 @@ impl Shared {
     }
 }
 
-/// Each frontend's admission half.
-enum Admission {
-    /// Threaded: connection threads execute behind the gate.
-    Gate(Arc<ExecGate>),
-    /// Event loop: the loop queues requests to a worker pool.
-    Queue(AdmissionQueue<Job>, WorkQueue<Job>),
-}
-
 /// A running page service. Dropping without [`join`](Self::join) leaks
 /// the threads; tests and binaries should always join.
 pub struct Server {
@@ -327,15 +261,9 @@ pub struct Server {
     /// Present when the config asked for fault injection; tests and the
     /// chaos driver use it to steer faults mid-run.
     faulty: Option<Arc<FaultyDisk>>,
-    /// Threaded frontend only: the execution gate.
-    gate: Option<Arc<ExecGate>>,
-    /// Event loop only: the server's own sender handle, dropped during
-    /// [`join`](Self::join) so the workers see the channel disconnect
-    /// once the loop's clone is gone too.
-    admission: Option<AdmissionQueue<Job>>,
+    /// The execution gate every data request passes.
+    gate: Arc<ExecGate>,
     acceptor: Option<JoinHandle<()>>,
-    /// Event loop only: the worker pool.
-    workers: Vec<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
     /// Ring-trim janitor (present when `slo_us` armed the flight
     /// recorder): the trace rings drop-and-count on overflow, so a
@@ -352,8 +280,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind, spawn the acceptor (and, for the event loop, the worker
-    /// pool), and return.
+    /// Bind, spawn the acceptor, and return.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let wrapper = WrapperConfig::default().with_combining_mode(config.combining);
         let manager = build_manager_with(&config.manager, config.frames, wrapper)
@@ -416,26 +343,17 @@ impl Server {
             pool = pool.with_sample_tap(Arc::clone(&state.tap));
         }
         let pool = Arc::new(pool);
-        // Admission: the gate for run-to-completion connection threads,
-        // the queue in front of the event loop's workers.
-        let (frontend, depth) = match config.mode {
-            FrontendMode::Threaded => {
-                let gate = ExecGate::new(config.workers, config.queue_capacity, config.policy);
-                let depth = gate.depth_gauge();
-                (Admission::Gate(Arc::new(gate)), depth)
-            }
-            FrontendMode::EventLoop => {
-                let (queue, work) = admission_queue(config.queue_capacity, config.policy);
-                let depth = queue.depth_gauge();
-                (Admission::Queue(queue, work), depth)
-            }
-        };
+        let gate = Arc::new(ExecGate::new(
+            config.workers,
+            config.queue_capacity,
+            config.policy,
+        ));
         let shared = Arc::new(Shared {
             pool,
             metrics: ServerMetrics::shared(),
             stop: Arc::new(AtomicBool::new(false)),
             pages: config.pages,
-            depth,
+            depth: gate.depth_gauge(),
             stats_cache: bpw_metrics::SnapshotCache::default(),
             adaptive,
         });
@@ -501,54 +419,21 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut workers = Vec::new();
-        let mut admission = None;
-        let mut exec_gate = None;
-        let acceptor = match frontend {
-            Admission::Gate(gate) => {
-                exec_gate = Some(Arc::clone(&gate));
-                let shared = Arc::clone(&shared);
-                let conns = Arc::clone(&conns);
-                thread::Builder::new()
-                    .name("bpw-acceptor".into())
-                    .spawn(move || accept_loop(&listener, &shared, &gate, &conns))
-                    .expect("spawn acceptor")
-            }
-            Admission::Queue(queue, work) => {
-                workers = (0..config.workers.max(1))
-                    .map(|i| {
-                        let shared = Arc::clone(&shared);
-                        let work = work.clone();
-                        thread::Builder::new()
-                            .name(format!("bpw-worker-{i}"))
-                            .spawn(move || eventloop::worker_loop(&shared, &work))
-                            .expect("spawn worker")
-                    })
-                    .collect();
-                drop(work);
-                listener.set_nonblocking(true)?;
-                let completions = Arc::new(Completions::new()?);
-                let shared = Arc::clone(&shared);
-                let loop_queue = queue.clone();
-                admission = Some(queue);
-                let max_pipeline = config.max_pipeline.max(1);
-                thread::Builder::new()
-                    .name("bpw-evl-loop".into())
-                    .spawn(move || {
-                        eventloop::run(listener, shared, loop_queue, completions, max_pipeline)
-                    })
-                    .expect("spawn event loop")
-            }
+        let acceptor = {
+            let (shared, gate, conns) =
+                (Arc::clone(&shared), Arc::clone(&gate), Arc::clone(&conns));
+            thread::Builder::new()
+                .name("bpw-acceptor".into())
+                .spawn(move || accept_loop(&listener, &shared, &gate, &conns))
+                .expect("spawn acceptor")
         };
 
         Ok(Server {
             addr,
             shared,
             faulty,
-            gate: exec_gate,
-            admission,
+            gate,
             acceptor: Some(acceptor),
-            workers,
             conns,
             janitor,
             armed_flight,
@@ -582,11 +467,10 @@ impl Server {
         self.shared.adaptive.as_ref().map(|a| &a.swap)
     }
 
-    /// The threaded frontend's execution gate (`None` under the event
-    /// loop). Tests read its slot high-water mark to check the `workers`
-    /// bound.
-    pub fn exec_gate(&self) -> Option<&Arc<ExecGate>> {
-        self.gate.as_ref()
+    /// The execution gate. Tests read its slot high-water mark to check
+    /// the `workers` bound.
+    pub fn exec_gate(&self) -> &Arc<ExecGate> {
+        &self.gate
     }
 
     /// Render the same JSON a `STATS` request returns.
@@ -617,8 +501,8 @@ impl Server {
         request_stop(&self.shared.stop, self.addr);
     }
 
-    /// Stop accepting, wait for live connections to finish, drain the
-    /// queue, and join every thread.
+    /// Stop accepting, wait for live connections to finish, and join
+    /// every thread.
     pub fn join(mut self) {
         self.stop();
         if let Some(a) = self.acceptor.take() {
@@ -628,13 +512,6 @@ impl Server {
         let conns = std::mem::take(&mut *self.conns.lock().expect("conns lock"));
         for c in conns {
             let _ = c.join();
-        }
-        // Event loop: with the loop gone, dropping the last sender
-        // disconnects the channel; workers drain whatever is queued and
-        // exit.
-        drop(self.admission.take());
-        for w in std::mem::take(&mut self.workers) {
-            let _ = w.join();
         }
         if let Some(j) = self.janitor.take() {
             let _ = j.join();
@@ -653,7 +530,7 @@ impl Server {
 }
 
 /// Flag a stop and poke the acceptor awake with a throwaway connection.
-pub(crate) fn request_stop(stop: &AtomicBool, addr: SocketAddr) {
+fn request_stop(stop: &AtomicBool, addr: SocketAddr) {
     stop.store(true, Ordering::SeqCst);
     if let Ok(s) = TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
         drop(s);
@@ -800,10 +677,8 @@ fn serve_connection(
 /// Execute one admitted data request and attribute its time. The wait
 /// since `admitted` becomes the `queue_wait` stage and a backdated
 /// `ServerDequeue` span; execution becomes the `PinOrMiss` span, split
-/// into the `pin_hit`, `miss_io` and `batch_commit` stages. Both
-/// frontends execute every data request through here: the threaded one
-/// on the connection thread, the event loop on a worker.
-pub(crate) fn execute_admitted(
+/// into the `pin_hit`, `miss_io` and `batch_commit` stages.
+fn execute_admitted(
     session: &mut PoolSession<'_, Box<dyn ReplacementManager>>,
     shared: &Shared,
     req: &Request,
@@ -848,7 +723,7 @@ pub(crate) fn execute_admitted(
 
 /// The latency bucket a data request belongs to (`None` for control
 /// requests, which are never admitted).
-pub(crate) fn op_kind(req: &Request) -> Option<OpKind> {
+fn op_kind(req: &Request) -> Option<OpKind> {
     match req {
         Request::Get { .. } => Some(OpKind::Get),
         Request::Put { .. } => Some(OpKind::Put),
@@ -919,7 +794,7 @@ fn execute(
 
 /// Render the ADVISOR sub-object for STATS: expert scores, swap/
 /// migration counters, and tap health.
-pub(crate) fn advisor_json(state: &AdaptiveShared) -> String {
+fn advisor_json(state: &AdaptiveShared) -> String {
     let snap = state.advisor.lock().expect("advisor lock").snapshot();
     let mut experts = String::from("[");
     for (i, e) in snap.experts.iter().enumerate() {
@@ -954,7 +829,7 @@ pub(crate) fn advisor_json(state: &AdaptiveShared) -> String {
     o.finish()
 }
 
-pub(crate) fn stats_json(shared: &Shared) -> String {
+fn stats_json(shared: &Shared) -> String {
     let advisor = shared.adaptive.as_deref().map(advisor_json);
     shared
         .metrics
@@ -964,7 +839,7 @@ pub(crate) fn stats_json(shared: &Shared) -> String {
 /// Prometheus-style text exposition: the METRICS reply. Same sources
 /// as `stats_json` (pool-side scalars through the same seqlock-cached
 /// snapshot), plus the trace collector's own health counters.
-pub(crate) fn metrics_text(shared: &Shared) -> String {
+fn metrics_text(shared: &Shared) -> String {
     let m = &shared.metrics;
     let snap = shared.stats_snapshot();
     let pool = &snap.pool;
@@ -1007,26 +882,6 @@ pub(crate) fn metrics_text(shared: &Shared) -> String {
         "bpw_connections_peak",
         "Open-connection high-water mark.",
         m.connections_open.peak() as f64,
-    )
-    .counter(
-        "bpw_epoll_wakeups_total",
-        "Event-loop wakeups (epoll_wait returns with work).",
-        m.epoll_wakeups.get(),
-    )
-    .counter(
-        "bpw_short_writes_total",
-        "Nonblocking writes that accepted only part of the buffer.",
-        m.short_writes.get(),
-    )
-    .histogram(
-        "bpw_pipeline_depth",
-        "In-flight pipelined requests per connection, observed at admission.",
-        &m.pipeline_depth,
-    )
-    .histogram(
-        "bpw_ready_events_per_wakeup",
-        "Ready fds delivered per epoll wakeup.",
-        &m.ready_per_wakeup,
     )
     .counter(
         "bpw_pool_hits_total",

@@ -1,6 +1,6 @@
 //! End-to-end coverage for `--adaptive` servers: the hot-swap layer is
 //! installed, ADVISOR state shows up in STATS and METRICS, policy swaps
-//! land under live client traffic on both frontends, and the
+//! land under live client traffic, and the
 //! `InvalidateOutcome::Busy` retry loop converges while swaps are
 //! mid-flight.
 
@@ -10,12 +10,12 @@ use std::time::{Duration, Instant};
 
 use bpw_bufferpool::InvalidateOutcome;
 use bpw_metrics::JsonValue;
-use bpw_server::{build_manager, Client, FrontendMode, Server, ServerConfig};
+use bpw_server::{build_manager, Client, Server, ServerConfig};
 
 const FRAMES: usize = 64;
 const PAGES: u64 = 256;
 
-fn adaptive_server(mode: FrontendMode) -> Server {
+fn adaptive_server() -> Server {
     Server::start(ServerConfig {
         workers: 2,
         frames: FRAMES,
@@ -23,14 +23,14 @@ fn adaptive_server(mode: FrontendMode) -> Server {
         pages: PAGES,
         manager: "wrapped-2q".into(),
         adaptive: true,
-        mode,
         ..ServerConfig::default()
     })
     .expect("start adaptive server")
 }
 
-fn adaptive_stats_and_swaps_under_traffic(mode: FrontendMode) {
-    let server = adaptive_server(mode);
+#[test]
+fn adaptive_stats_and_swaps_threaded() {
+    let server = adaptive_server();
     let swap = Arc::clone(server.adaptive_swap().expect("adaptive layer installed"));
     assert!(server.pool().manager().name().starts_with("adaptive("));
 
@@ -98,23 +98,14 @@ fn adaptive_stats_and_swaps_under_traffic(mode: FrontendMode) {
     server.join();
 }
 
-#[test]
-fn adaptive_stats_and_swaps_threaded() {
-    adaptive_stats_and_swaps_under_traffic(FrontendMode::Threaded);
-}
-
-#[test]
-fn adaptive_stats_and_swaps_eventloop() {
-    adaptive_stats_and_swaps_under_traffic(FrontendMode::EventLoop);
-}
-
 /// `InvalidateOutcome::Busy` retry while swaps are mid-flight: the
 /// invalidator must see `Busy` for a pinned page (never block forever on
 /// the swap), and once the pin is dropped the retry loop must converge
 /// to a definitive outcome within a deadline even with back-to-back
 /// swaps racing it.
-fn busy_invalidate_retry_during_swaps(mode: FrontendMode) {
-    let server = adaptive_server(mode);
+#[test]
+fn busy_invalidate_retry_during_swaps_threaded() {
+    let server = adaptive_server();
     const PAGE: u64 = 3;
 
     // Warm the page in via a client so invalidation has a target.
@@ -195,16 +186,6 @@ fn busy_invalidate_retry_during_swaps(mode: FrontendMode) {
     );
     drop(client);
     server.join();
-}
-
-#[test]
-fn busy_invalidate_retry_during_swaps_threaded() {
-    busy_invalidate_retry_during_swaps(FrontendMode::Threaded);
-}
-
-#[test]
-fn busy_invalidate_retry_during_swaps_eventloop() {
-    busy_invalidate_retry_during_swaps(FrontendMode::EventLoop);
 }
 
 /// `--adaptive` refuses non-wrapped managers: the advisor can only swap

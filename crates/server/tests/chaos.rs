@@ -18,20 +18,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use bpw_metrics::JsonValue;
-use bpw_server::{loadgen, Client, FaultPlan, FrontendMode, Server, ServerConfig};
+use bpw_server::{loadgen, Client, FaultPlan, Server, ServerConfig};
 use bpw_workloads::{zipf::splitmix64, PageStream, ZipfWorkload};
 
 const PAGES: u64 = 1024;
 const FRAMES: usize = 128;
 const PAGE_SIZE: usize = 256;
 
-fn chaos_server(mode: FrontendMode) -> Server {
+fn chaos_server() -> Server {
     Server::start(ServerConfig {
         workers: 4,
         frames: FRAMES,
         page_size: PAGE_SIZE,
         pages: PAGES,
-        mode,
         fault_plan: Some(FaultPlan {
             seed: 0xC4A0_5EED,
             // A steady drizzle of transient faults: 5% of reads, 2% of
@@ -62,8 +61,8 @@ fn assert_no_stuck_frames(server: &Server) {
     );
 }
 
-fn chaos_run_returns_correct_bytes_or_err_io_and_recovers(mode: FrontendMode) {
-    let server = chaos_server(mode);
+fn chaos_run_returns_correct_bytes_or_err_io_and_recovers() {
+    let server = chaos_server();
     let addr = server.addr();
     let disk = server
         .faulty_disk()
@@ -186,32 +185,30 @@ fn chaos_run_returns_correct_bytes_or_err_io_and_recovers(mode: FrontendMode) {
     );
 }
 
-fn chaos_loadgen_accounting_stays_exact_under_faults(mode: FrontendMode) {
+fn chaos_loadgen_accounting_stays_exact_under_faults() {
     // The load generator's books must balance even when some replies are
-    // ERR_IO: every request lands in exactly one tally bucket. Under the
-    // event loop the clients also pipeline, so ERR_IO replies interleave
-    // with OKs inside a batch and must still sequence correctly.
-    let server = chaos_server(mode);
-    let cfg = bpw_server::LoadConfig {
-        connections: 4,
-        requests_per_conn: 1000,
-        write_fraction: 0.2,
-        pipeline: if mode == FrontendMode::EventLoop {
-            8
-        } else {
-            1
-        },
-        ..bpw_server::LoadConfig::default()
-    };
+    // ERR_IO: every request lands in exactly one tally bucket. At
+    // pipeline 8, ERR_IO replies interleave with OKs inside a batch and
+    // must still sequence correctly.
+    let server = chaos_server();
     let workload = ZipfWorkload::new(PAGES, 0.86, 8);
-    let report = loadgen::run(server.addr(), &workload, &cfg);
-    assert_eq!(report.sent, 4 * 1000, "sent must equal the intended total");
-    assert_eq!(
-        report.ok + report.busy + report.dropped + report.errors + report.io_errors,
-        report.sent,
-        "every request lands in exactly one bucket"
-    );
-    assert_no_stuck_frames(&server);
+    for pipeline in [1, 8] {
+        let cfg = bpw_server::LoadConfig {
+            connections: 4,
+            requests_per_conn: 1000,
+            write_fraction: 0.2,
+            pipeline,
+            ..bpw_server::LoadConfig::default()
+        };
+        let report = loadgen::run(server.addr(), &workload, &cfg);
+        assert_eq!(report.sent, 4 * 1000, "sent must equal the intended total");
+        assert_eq!(
+            report.ok + report.busy + report.dropped + report.errors + report.io_errors,
+            report.sent,
+            "pipeline {pipeline}: every request lands in exactly one bucket"
+        );
+        assert_no_stuck_frames(&server);
+    }
     server.join();
 }
 
@@ -220,19 +217,13 @@ fn chaos_loadgen_accounting_stays_exact_under_faults(mode: FrontendMode) {
 /// nowhere near the SLO. The server is armed with an hour-long budget
 /// so elapsed time can never trigger a capture — only the error path
 /// can — and a persistently broken page guarantees one happens.
-fn flight_recorder_captures_err_io_exemplars(mode: FrontendMode) {
-    // The flight recorder is process-global: serialize the two frontend
-    // instances of this test so one's join() (which disarms) cannot
-    // race the other's capture window.
-    static FLIGHT_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _gate = FLIGHT_GATE.lock().unwrap();
+fn flight_recorder_captures_err_io_exemplars() {
     bpw_trace::flight::clear();
     let server = Server::start(ServerConfig {
         workers: 2,
         frames: FRAMES,
         page_size: PAGE_SIZE,
         pages: PAGES,
-        mode,
         // One hour in microseconds: no request can exceed it, so every
         // capture below is attributable to ERR_IO alone.
         slo_us: Some(3_600_000_000),
@@ -327,26 +318,20 @@ fn flight_recorder_captures_err_io_exemplars(mode: FrontendMode) {
     bpw_trace::flight::clear();
 }
 
-macro_rules! both_frontends {
+/// The scenarios above, one test each, under `threaded::`: every
+/// connection is served by its own thread.
+macro_rules! threaded {
     ($($name:ident),* $(,)?) => {
         mod threaded {
-            use super::*;
             $(#[test]
             fn $name() {
-                super::$name(FrontendMode::Threaded);
-            })*
-        }
-        mod eventloop_mode {
-            use super::*;
-            $(#[test]
-            fn $name() {
-                super::$name(FrontendMode::EventLoop);
+                super::$name();
             })*
         }
     };
 }
 
-both_frontends!(
+threaded!(
     chaos_run_returns_correct_bytes_or_err_io_and_recovers,
     chaos_loadgen_accounting_stays_exact_under_faults,
     flight_recorder_captures_err_io_exemplars,

@@ -3,13 +3,9 @@
 //! the block policy, last-write-wins content correctness, and STATS
 //! that parse with non-zero tail latencies.
 //!
-//! Every scenario runs against BOTH frontends (`mod threaded`,
-//! `mod eventloop_mode`): the concurrency model is a deployment knob,
-//! so the observable protocol behaviour must be identical. The
-//! event-loop-specific scenarios (pipelining order, slowloris,
-//! mid-request disconnect) also run under both, because the threaded
-//! frontend must tolerate pipelined clients even though it never
-//! admits more than one request at a time.
+//! The scenarios include pipelined clients (reply order, slowloris,
+//! mid-request disconnect): a connection thread must tolerate them even
+//! though it executes one request at a time.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -19,8 +15,8 @@ use std::time::Duration;
 
 use bpw_metrics::JsonValue;
 use bpw_server::{
-    loadgen, AdmissionPolicy, Client, FaultPlan, FrontendMode, LoadConfig, LoadMode, Request,
-    Response, Server, ServerConfig,
+    loadgen, AdmissionPolicy, Client, FaultPlan, LoadConfig, LoadMode, Request, Response, Server,
+    ServerConfig,
 };
 use bpw_workloads::{zipf::splitmix64, PageStream, Workload, ZipfWorkload};
 
@@ -33,7 +29,7 @@ const PAGE_SIZE: usize = 64;
 /// tests that toggle it must not overlap.
 static TRACE_GATE: Mutex<()> = Mutex::new(());
 
-fn test_server(policy: AdmissionPolicy, manager: &str, queue: usize, mode: FrontendMode) -> Server {
+fn test_server(policy: AdmissionPolicy, manager: &str, queue: usize) -> Server {
     Server::start(ServerConfig {
         workers: 4,
         queue_capacity: queue,
@@ -42,7 +38,6 @@ fn test_server(policy: AdmissionPolicy, manager: &str, queue: usize, mode: Front
         page_size: PAGE_SIZE,
         pages: PAGES,
         manager: manager.into(),
-        mode,
         ..ServerConfig::default()
     })
     .expect("server start")
@@ -54,8 +49,8 @@ fn test_server(policy: AdmissionPolicy, manager: &str, queue: usize, mode: Front
 /// the last PUT to that page (threads own disjoint page sets, so
 /// last-write-wins is deterministic), and the final STATS must parse
 /// with a non-zero p99.
-fn block_policy_100k_zipf_requests_zero_loss_and_correct_contents(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128, mode);
+fn block_policy_100k_zipf_requests_zero_loss_and_correct_contents() {
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128);
     let addr = server.addr();
     let workload = ZipfWorkload::new(PAGES, 0.86, 8);
     let ok_replies = AtomicU64::new(0);
@@ -153,19 +148,18 @@ fn block_policy_100k_zipf_requests_zero_loss_and_correct_contents(mode: Frontend
 
 /// A zero-millisecond deadline drops every data request at dequeue —
 /// and the reply is DROPPED, not a hang or a connection error.
-fn zero_deadline_drops_every_request(mode: FrontendMode) {
+fn zero_deadline_drops_every_request() {
     let server = test_server(
         AdmissionPolicy::DeadlineDrop(Duration::ZERO),
         "coarse-lru",
         64,
-        mode,
     );
     let mut client = Client::connect(server.addr()).expect("connect");
     let mut dropped = 0;
     for page in 0..50u64 {
         match client.get(page).expect("get io") {
             Response::Dropped => dropped += 1,
-            Response::Ok(_) => {} // a worker can win the race at 0ns elapsed
+            Response::Ok(_) => {} // the grant can land at 0ns elapsed
             other => panic!("unexpected reply {other:?}"),
         }
     }
@@ -179,8 +173,8 @@ fn zero_deadline_drops_every_request(mode: FrontendMode) {
 
 /// Under shed, every request is answered either OK or BUSY — nothing is
 /// lost silently, and BUSY replies arrive promptly instead of blocking.
-fn shed_policy_answers_ok_or_busy(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Shed, "wrapped-lirs", 2, mode);
+fn shed_policy_answers_ok_or_busy() {
+    let server = test_server(AdmissionPolicy::Shed, "wrapped-lirs", 2);
     let addr = server.addr();
     let ok = AtomicU64::new(0);
     let busy = AtomicU64::new(0);
@@ -209,8 +203,8 @@ fn shed_policy_answers_ok_or_busy(mode: FrontendMode) {
 
 /// SCAN's checksum equals the FNV-1a chain over the same pages fetched
 /// one GET at a time.
-fn scan_checksum_matches_individual_gets(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "clock", 64, mode);
+fn scan_checksum_matches_individual_gets() {
+    let server = test_server(AdmissionPolicy::Block, "clock", 64);
     let mut client = Client::connect(server.addr()).expect("connect");
     // Dirty a page in the range so the checksum covers written data too.
     let mut body = vec![0xA5u8; 32];
@@ -240,8 +234,8 @@ fn scan_checksum_matches_individual_gets(mode: FrontendMode) {
 
 /// Requests outside the configured page universe get ERR, and the
 /// connection stays usable afterwards.
-fn out_of_range_requests_error_cleanly(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+fn out_of_range_requests_error_cleanly() {
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64);
     let mut client = Client::connect(server.addr()).expect("connect");
     assert!(matches!(client.get(PAGES).unwrap(), Response::Err(_)));
     assert!(matches!(
@@ -263,8 +257,8 @@ fn out_of_range_requests_error_cleanly(mode: FrontendMode) {
 
 /// The load generator against a live server: closed-loop requests are
 /// all answered under block, and the report's accounting adds up.
-fn loadgen_closed_loop_round_trips(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128, mode);
+fn loadgen_closed_loop_round_trips() {
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128);
     let workload = ZipfWorkload::new(PAGES, 0.86, 8);
     let cfg = LoadConfig {
         connections: 4,
@@ -292,8 +286,8 @@ fn loadgen_closed_loop_round_trips(mode: FrontendMode) {
 /// Open-loop pacing sends the full schedule even when the rate is
 /// higher than the server can absorb, and measures from intended
 /// arrival (latency >= actual service time).
-fn loadgen_open_loop_sends_full_schedule(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "coarse-2q", 64, mode);
+fn loadgen_open_loop_sends_full_schedule() {
+    let server = test_server(AdmissionPolicy::Block, "coarse-2q", 64);
     let workload = ZipfWorkload::new(PAGES, 0.86, 8);
     let cfg = LoadConfig {
         connections: 2,
@@ -312,8 +306,8 @@ fn loadgen_open_loop_sends_full_schedule(mode: FrontendMode) {
 
 /// A client SHUTDOWN request stops the acceptor: the running server
 /// answers OK, then refuses (or never accepts) new connections.
-fn client_shutdown_request_stops_accepting(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+fn client_shutdown_request_stops_accepting() {
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64);
     let addr = server.addr();
     let mut client = Client::connect(addr).expect("connect");
     assert!(matches!(client.shutdown().unwrap(), Response::Ok(_)));
@@ -332,11 +326,11 @@ fn client_shutdown_request_stops_accepting(mode: FrontendMode) {
 }
 
 /// METRICS returns a well-formed Prometheus-style exposition covering
-/// request counters, both instrumented locks, the event-loop series,
+/// request counters, both instrumented locks, the connection gauges,
 /// and the trace collector's health; STATS carries the matching JSON
 /// sub-objects.
-fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+fn metrics_exposition_and_enriched_stats() {
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64);
     let mut client = Client::connect(server.addr()).expect("connect");
     for page in 0..64u64 {
         assert!(matches!(client.get(page).unwrap(), Response::Ok(_)));
@@ -353,13 +347,7 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
     assert!(text.contains("bpw_miss_lock_shards"));
     assert!(text.contains("bpw_free_list_steals_total"));
     assert!(text.contains("bpw_trace_dropped_events_total"));
-    // Event-loop observability is always exposed (zero-valued under the
-    // threaded frontend) so dashboards don't need mode-aware queries.
     assert!(text.contains("bpw_connections_open"));
-    assert!(text.contains("bpw_epoll_wakeups_total"));
-    assert!(text.contains("bpw_short_writes_total"));
-    assert!(text.contains("bpw_pipeline_depth_count"));
-    assert!(text.contains("bpw_ready_events_per_wakeup_count"));
     // Stage attribution, SLO burn, per-ring drop, and flight-recorder
     // series are always exposed (zero-valued while unarmed).
     assert!(text.contains("bpw_stage_latency_ns_count{op=\"get\",stage=\"queue_wait\"}"));
@@ -444,22 +432,6 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
             .is_some_and(|c| c >= 1),
         "the asking client must be counted open: {stats}"
     );
-    if mode == FrontendMode::EventLoop {
-        assert!(
-            v.get("epoll_wakeups")
-                .and_then(JsonValue::as_u64)
-                .is_some_and(|w| w > 0),
-            "the loop must have woken for this traffic: {stats}"
-        );
-        assert!(
-            v.get("pipeline_depth")
-                .and_then(|h| h.get("count"))
-                .and_then(JsonValue::as_u64)
-                .is_some_and(|c| c > 0),
-            "every admitted request observes pipeline depth: {stats}"
-        );
-    }
-
     drop(client);
     server.join();
 }
@@ -467,7 +439,7 @@ fn metrics_exposition_and_enriched_stats(mode: FrontendMode) {
 /// A server with combining commit enabled serves the same traffic
 /// correctly: combining changes how batches reach the policy under
 /// contention, never what data clients see.
-fn combining_server_serves_correct_data(mode: FrontendMode) {
+fn combining_server_serves_correct_data() {
     let server = Server::start(ServerConfig {
         workers: 4,
         queue_capacity: 128,
@@ -477,7 +449,6 @@ fn combining_server_serves_correct_data(mode: FrontendMode) {
         pages: PAGES,
         manager: "wrapped-lirs".into(),
         combining: bpw_core::Combining::Flat,
-        mode,
         ..ServerConfig::default()
     })
     .expect("combining server start");
@@ -516,12 +487,12 @@ fn combining_server_serves_correct_data(mode: FrontendMode) {
 }
 
 /// With tracing enabled, a served request leaves enqueue/dequeue/reply
-/// events in the collector — and, under the event loop, wakeup spans.
-fn traced_requests_leave_server_events(mode: FrontendMode) {
+/// events in the collector.
+fn traced_requests_leave_server_events() {
     use bpw_trace::EventKind;
 
     let _gate = TRACE_GATE.lock().unwrap();
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64);
     let mut client = Client::connect(server.addr()).expect("connect");
     bpw_trace::clear();
     bpw_trace::set_enabled(true);
@@ -530,15 +501,11 @@ fn traced_requests_leave_server_events(mode: FrontendMode) {
     }
     bpw_trace::set_enabled(false);
     let events = bpw_trace::drain();
-    let mut want = vec![
+    for kind in [
         EventKind::ServerEnqueue,
         EventKind::ServerDequeue,
         EventKind::ServerReply,
-    ];
-    if mode == FrontendMode::EventLoop {
-        want.push(EventKind::EpollWakeup);
-    }
-    for kind in want {
+    ] {
         assert!(
             events.iter().any(|e| e.kind == kind),
             "no {kind:?} event among {} drained",
@@ -554,7 +521,7 @@ fn traced_requests_leave_server_events(mode: FrontendMode) {
 /// Chrome-trace JSON in which at least one captured request id owns the
 /// full causal chain — queue wait (`server_dequeue`), `pin_or_miss`,
 /// and `server_reply` — and STATS must burn the matching SLO counters.
-fn flight_recorder_captures_slow_request_span_chains(mode: FrontendMode) {
+fn flight_recorder_captures_slow_request_span_chains() {
     let _gate = TRACE_GATE.lock().unwrap();
     bpw_trace::clear();
     bpw_trace::flight::clear();
@@ -566,7 +533,6 @@ fn flight_recorder_captures_slow_request_span_chains(mode: FrontendMode) {
         page_size: PAGE_SIZE,
         pages: PAGES,
         manager: "wrapped-2q".into(),
-        mode,
         slo_us: Some(1),
         ..ServerConfig::default()
     })
@@ -659,8 +625,8 @@ fn flight_recorder_captures_slow_request_span_chains(mode: FrontendMode) {
 /// Pipelined requests on one connection: the responses come back
 /// strictly in request order, with contents matching request-by-request
 /// expectations — even when the batch mixes PUT, GET, SCAN, and STATS.
-fn pipelined_responses_arrive_in_request_order(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128, mode);
+fn pipelined_responses_arrive_in_request_order() {
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128);
     let mut client = Client::connect(server.addr()).expect("connect");
 
     // Batch 1: tag 16 pages with distinct fills.
@@ -732,9 +698,9 @@ fn pipelined_responses_arrive_in_request_order(mode: FrontendMode) {
 
 /// Slowloris: a client dribbling a valid request one byte at a time
 /// must (a) eventually get the right answer and (b) never stall other
-/// clients — the whole point of readiness-based multiplexing.
-fn slowloris_client_cannot_stall_others(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+/// clients.
+fn slowloris_client_cannot_stall_others() {
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64);
     let addr = server.addr();
 
     let slow = std::thread::spawn(move || {
@@ -780,12 +746,12 @@ fn slowloris_client_cannot_stall_others(mode: FrontendMode) {
     server.join();
 }
 
-/// A client that sends requests and vanishes mid-flight: the worker
-/// pool must finish (or discard) the orphaned work without leaking, the
+/// A client that sends requests and vanishes mid-flight: its connection
+/// thread must finish (or discard) the orphaned work without leaking, the
 /// pool's frame accounting must return to exact, and new clients must
 /// be served as if nothing happened.
-fn mid_request_disconnect_leaks_nothing(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128, mode);
+fn mid_request_disconnect_leaks_nothing() {
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128);
     let addr = server.addr();
 
     for round in 0..8u64 {
@@ -832,11 +798,100 @@ fn mid_request_disconnect_leaks_nothing(mode: FrontendMode) {
     server.join();
 }
 
+/// Fan-in: 64 connections at once, each pipelining 8 requests at a
+/// time under `Block`. Every connection owns its own page range, so the
+/// last acknowledged PUT to each page is known exactly; the range is
+/// rewritten and read back several times while the pool, four times
+/// smaller than the pages touched, evicts dirty pages under everyone.
+#[test]
+fn sixty_four_pipelined_connections_read_their_own_writes() {
+    const CONNS: u64 = 64;
+    const DEPTH: usize = 8;
+    const OWN: u64 = PAGES / CONNS;
+    const ROUNDS: u64 = 4;
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 128);
+    let addr = server.addr();
+    // Every client holds its connection until all 64 have finished, so
+    // all 64 connection threads are alive together. A client counts as
+    // finished on unwind too: a failed check must not leave the others
+    // waiting.
+    struct Finish<'a>(&'a AtomicU64);
+    impl Drop for Finish<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    let finished = AtomicU64::new(0);
+    std::thread::scope(|sc| {
+        for c in 0..CONNS {
+            let finished = &finished;
+            sc.spawn(move || {
+                let finish = Finish(finished);
+                let mut client = Client::connect(addr).expect("connect");
+                let pages: Vec<u64> = (c * OWN..(c + 1) * OWN).collect();
+                let body = |page: u64, round: u64| {
+                    [page, c, round]
+                        .iter()
+                        .flat_map(|x| x.to_le_bytes())
+                        .collect::<Vec<u8>>()
+                };
+                for round in 0..ROUNDS {
+                    for batch in pages.chunks(DEPTH) {
+                        let puts: Vec<Request> = batch
+                            .iter()
+                            .map(|&page| Request::Put {
+                                page,
+                                data: body(page, round),
+                            })
+                            .collect();
+                        for (page, resp) in batch.iter().zip(client.call_pipelined(&puts).unwrap())
+                        {
+                            assert_eq!(resp, Response::Ok(Vec::new()), "PUT {page}");
+                        }
+                    }
+                    for batch in pages.chunks(DEPTH) {
+                        let gets: Vec<Request> =
+                            batch.iter().map(|&page| Request::Get { page }).collect();
+                        for (&page, resp) in batch.iter().zip(client.call_pipelined(&gets).unwrap())
+                        {
+                            let Response::Ok(bytes) = resp else {
+                                panic!("GET {page} answered {resp:?}");
+                            };
+                            assert_eq!(
+                                bytes[..24],
+                                body(page, round)[..],
+                                "connection {c}: GET {page} did not return round {round}'s PUT"
+                            );
+                        }
+                    }
+                }
+                drop(finish);
+                bpw_server::wait_for(Duration::from_secs(60), "every client finished", || {
+                    finished.load(Ordering::SeqCst) == CONNS
+                });
+            });
+        }
+    });
+    let m = server.metrics();
+    assert_eq!(m.ok.get(), CONNS * OWN * ROUNDS * 2);
+    assert_eq!(
+        (
+            m.busy.get(),
+            m.dropped.get(),
+            m.errors.get(),
+            m.io_errors.get()
+        ),
+        (0, 0, 0, 0)
+    );
+    assert_eq!(m.connections_open.peak(), CONNS);
+    server.join();
+}
+
 /// `workers` bounds execution on run-to-completion connection threads:
 /// with two slots, a slow disk and eight busy connections, requests
 /// pile up waiting, yet no more than two ever execute at once. The
 /// bound is read from the gate's slot high-water mark, not inferred
-/// from timing. (The event loop's bound is its worker count.)
+/// from timing.
 #[test]
 fn workers_bound_concurrent_execution() {
     let server = Server::start(ServerConfig {
@@ -847,7 +902,6 @@ fn workers_bound_concurrent_execution() {
         page_size: PAGE_SIZE,
         pages: PAGES,
         manager: "wrapped-2q".into(),
-        mode: FrontendMode::Threaded,
         // Every storage access sleeps 2 ms while holding its slot.
         fault_plan: Some(FaultPlan {
             spike_ppm: 1_000_000,
@@ -874,10 +928,7 @@ fn workers_bound_concurrent_execution() {
             });
         }
     });
-    let peak = server
-        .exec_gate()
-        .expect("threaded frontend")
-        .peak_running();
+    let peak = server.exec_gate().peak_running();
     assert!(
         peak <= 2,
         "{peak} requests executed at once with workers: 2"
@@ -901,8 +952,8 @@ fn workers_bound_concurrent_execution() {
 /// accesses: fewer hits than the batch threshold would otherwise sit in
 /// a private queue until the next burst, and the replacement policy
 /// would never learn of them.
-fn idle_connection_commits_deferred_hits(mode: FrontendMode) {
-    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64, mode);
+fn idle_connection_commits_deferred_hits() {
+    let server = test_server(AdmissionPolicy::Block, "wrapped-2q", 64);
     let mut client = Client::connect(server.addr()).expect("connect");
     // Load four pages: each miss commits under the replacement lock.
     for page in 0..4u64 {
@@ -939,26 +990,20 @@ fn workload_pages_fit_the_server_universe() {
     }
 }
 
-macro_rules! both_frontends {
+/// The scenarios above, one test each, under `threaded::`: every
+/// connection is served by its own thread.
+macro_rules! threaded {
     ($($name:ident),* $(,)?) => {
         mod threaded {
-            use super::*;
             $(#[test]
             fn $name() {
-                super::$name(FrontendMode::Threaded);
-            })*
-        }
-        mod eventloop_mode {
-            use super::*;
-            $(#[test]
-            fn $name() {
-                super::$name(FrontendMode::EventLoop);
+                super::$name();
             })*
         }
     };
 }
 
-both_frontends!(
+threaded!(
     block_policy_100k_zipf_requests_zero_loss_and_correct_contents,
     zero_deadline_drops_every_request,
     shed_policy_answers_ok_or_busy,

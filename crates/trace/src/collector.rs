@@ -165,8 +165,8 @@ pub fn span_backdated(kind: EventKind, dur_ns: u64, arg: u64) {
 /// Finish a span started with [`span_start`], additionally crediting
 /// its duration to the calling thread's per-stage latency scratch (see
 /// [`crate::stage`]). Used by instrumentation sites whose time is a
-/// named request stage (batch commit), so the worker can attribute the
-/// request's total without re-measuring.
+/// named request stage (batch commit), so the executing thread can
+/// attribute the request's total without re-measuring.
 #[inline]
 pub fn span_end_staged(kind: EventKind, start: Option<u64>, arg: u64) {
     if let Some(start_ns) = start {

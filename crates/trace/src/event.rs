@@ -28,11 +28,11 @@ pub enum EventKind {
     WalFlush,
     /// One background-writer sweep. Arg: frames cleaned.
     BgwriterPass,
-    /// A request entered the server's admission queue. Instant.
+    /// A request reached the server's admission gate. Instant.
     /// Arg: request opcode (1 GET, 2 PUT, 3 SCAN).
     ServerEnqueue,
-    /// A worker picked a request out of the queue; the span covers the
-    /// time it sat queued. Arg: request opcode.
+    /// The gate granted a request an execution slot; the span covers
+    /// the time it waited. Arg: request opcode.
     ServerDequeue,
     /// A reply was written back to the client; the span covers
     /// admission to reply (end-to-end latency). Arg: response status
@@ -55,11 +55,7 @@ pub enum EventKind {
     /// A free-list stripe ran dry and a frame was stolen from another
     /// stripe. Instant. Arg: stripe stolen from.
     FreeListSteal,
-    /// One event-loop wakeup: the span covers dispatching every ready
-    /// fd, draining completions, and flushing coalesced writes. Arg:
-    /// ready events delivered by this `epoll_wait`.
-    EpollWakeup,
-    /// A worker executing one request against the buffer pool: the span
+    /// A thread executing one request against the buffer pool: the span
     /// covers every pin — a hit's latch-and-go or a full miss with
     /// eviction and I/O (which then nests its own `MissIo` span). Arg:
     /// request opcode.
@@ -71,7 +67,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in declaration order.
-    pub const ALL: [EventKind; 18] = [
+    pub const ALL: [EventKind; 17] = [
         EventKind::LockWait,
         EventKind::LockHold,
         EventKind::BatchCommit,
@@ -87,7 +83,6 @@ impl EventKind {
         EventKind::MissShardWait,
         EventKind::CombinedCommit,
         EventKind::FreeListSteal,
-        EventKind::EpollWakeup,
         EventKind::PinOrMiss,
         EventKind::HitPin,
     ];
@@ -110,7 +105,6 @@ impl EventKind {
             EventKind::MissShardWait => "miss_shard_wait",
             EventKind::CombinedCommit => "combined_commit",
             EventKind::FreeListSteal => "free_list_steal",
-            EventKind::EpollWakeup => "epoll_wakeup",
             EventKind::PinOrMiss => "pin_or_miss",
             EventKind::HitPin => "hit_pin",
         }
@@ -135,7 +129,6 @@ impl EventKind {
             EventKind::MissShardWait => "shard",
             EventKind::CombinedCommit => "entries",
             EventKind::FreeListSteal => "stripe",
-            EventKind::EpollWakeup => "ready_events",
             EventKind::PinOrMiss => "opcode",
             EventKind::HitPin => "page",
         }
@@ -171,7 +164,7 @@ pub struct TraceEvent {
     pub arg: u64,
     /// Owning request id (0 = not attributed to any request). Stamped
     /// from the recording thread's current-request cell, so every event
-    /// a worker records while executing a request carries that
+    /// a thread records while executing a request carries that
     /// request's id — the key the flight recorder groups spans by.
     pub req: u64,
 }

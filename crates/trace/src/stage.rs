@@ -4,7 +4,7 @@
 //! miss I/O vs batch commit) would normally force the buffer pool and
 //! the wrapper to know about the server's metrics registry. Instead,
 //! the layers that *spend* the time credit it into these thread-local
-//! accumulators, and the worker that owns the request resets the
+//! accumulators, and the thread that executes the request resets the
 //! scratch before executing and reads it after — no cross-crate
 //! coupling, no shared state, no hot-path allocation.
 //!
@@ -37,8 +37,8 @@ pub struct StageScratch {
     pub batch_commit_ns: u64,
 }
 
-/// Zero the calling thread's accumulators (the worker does this when it
-/// picks up a request).
+/// Zero the calling thread's accumulators (the executing thread does
+/// this before it runs a request).
 #[inline]
 pub fn reset() {
     MISS_IO_NS.with(|c| c.set(0));
@@ -68,8 +68,8 @@ pub fn add_for_kind(kind: EventKind, dur_ns: u64) {
     }
 }
 
-/// Read and zero the calling thread's accumulators (the worker does
-/// this after executing a request).
+/// Read and zero the calling thread's accumulators (the executing
+/// thread does this after running a request).
 #[inline]
 pub fn take() -> StageScratch {
     StageScratch {
