@@ -9,8 +9,9 @@
 //! of two descriptor kinds:
 //!
 //! * `atomic` — [`BufferDesc`]: one CAS to pin, one CAS to unpin;
-//! * `mutex` — [`MutexDesc`], the seed baseline: a `parking_lot::Mutex`
-//!   acquire + release around each of pin *and* unpin (4 shared RMWs).
+//! * `mutex` — [`MutexDesc`], the seed's descriptor: a
+//!   `parking_lot::Mutex` acquire + release around each of pin *and*
+//!   unpin (4 shared RMWs).
 //!
 //! Each kind runs in two layouts: `padded` (`CachePadded`, one line per
 //! descriptor — what the pool uses) and `dense` (contiguous `Vec`,
@@ -24,7 +25,7 @@
 
 use std::time::Instant;
 
-use bpw_bufferpool::{BufferDesc, MutexDesc};
+use bpw_bufferpool::{BufferDesc, DescState};
 use bpw_core::CachePadded;
 use bpw_metrics::JsonObject;
 use bpw_workloads::{Workload, ZipfWorkload};
@@ -41,9 +42,42 @@ trait DescArray: Sync {
     fn pin_unpin(&self, i: usize) -> u64;
 }
 
-fn init_state(s: &mut bpw_bufferpool::DescState, tag: u64) {
+fn init_state(s: &mut DescState, tag: u64) {
     s.tag = tag;
     s.valid = true;
+}
+
+/// The seed's mutex-based descriptor, the baseline of this bench: the
+/// same pin/unpin semantics as [`BufferDesc`]'s fast paths, but each
+/// operation takes the per-frame `parking_lot::Mutex` — one
+/// shared-cache-line RMW to lock, another to unlock.
+#[derive(Default)]
+struct MutexDesc(parking_lot::Mutex<DescState>);
+
+impl MutexDesc {
+    /// A valid descriptor caching `tag`.
+    fn holding(tag: u64) -> Self {
+        let d = MutexDesc::default();
+        init_state(&mut d.0.lock(), tag);
+        d
+    }
+
+    /// Pin if the frame is valid, not in I/O, and caches `page`.
+    fn try_pin(&self, page: u64) -> bool {
+        let mut s = self.0.lock();
+        if s.valid && !s.io_in_progress && s.tag == page {
+            s.pins += 1;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn unpin(&self) {
+        let mut s = self.0.lock();
+        debug_assert!(s.pins > 0, "unpin without pin");
+        s.pins = s.pins.saturating_sub(1);
+    }
 }
 
 struct PaddedAtomic(Vec<CachePadded<BufferDesc>>);
@@ -117,21 +151,11 @@ fn build(desc: &str, layout: &str) -> Box<dyn DescArray> {
         )),
         ("mutex", "padded") => Box::new(PaddedMutex(
             (0..FRAMES)
-                .map(|i| {
-                    let d = MutexDesc::new();
-                    init_state(&mut d.lock(), i as u64);
-                    CachePadded::new(d)
-                })
+                .map(|i| CachePadded::new(MutexDesc::holding(i as u64)))
                 .collect(),
         )),
         ("mutex", "dense") => Box::new(DenseMutex(
-            (0..FRAMES)
-                .map(|i| {
-                    let d = MutexDesc::new();
-                    init_state(&mut d.lock(), i as u64);
-                    d
-                })
-                .collect(),
+            (0..FRAMES).map(|i| MutexDesc::holding(i as u64)).collect(),
         )),
         _ => unreachable!("desc/layout combinations are enumerated above"),
     }
@@ -269,5 +293,21 @@ fn main() {
     if atomic8 < mutex8 {
         eprintln!("FAIL: packed-atomic pin path must be >= the mutex baseline at 8 threads");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mutex_baseline_matches_semantics() {
+        let d = MutexDesc::default();
+        assert!(!d.try_pin(5), "invalid frame must not pin");
+        let d = MutexDesc::holding(5);
+        assert!(d.try_pin(5));
+        assert!(!d.try_pin(6));
+        d.unpin();
+        assert_eq!(d.0.lock().pins, 0);
     }
 }

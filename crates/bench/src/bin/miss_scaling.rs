@@ -3,20 +3,18 @@
 //! * **commit path** (hit-heavy, working set = pool): every access is a
 //!   recorded hit, so the replacement lock is the only shared resource
 //!   and the combining modes differ visibly — `off` blocks at
-//!   queue-full, `overflow` publishes full queues, `flat` publishes on
-//!   any contended threshold crossing and drains whole slates.
+//!   queue-full, `flat` publishes on any contended threshold crossing
+//!   and drains whole slates.
 //! * **miss path** (miss-heavy, working set = 4x pool): coarse (one
 //!   global miss lock, the seed design) vs sharded (one miss lock +
 //!   free-list stripe per page-table shard).
 //!
-//! Three row kinds land in `results/miss_path_scaling.jsonl`:
+//! Two row kinds land in `results/miss_path_scaling.jsonl`:
 //!
 //! * `measured` — real threads on this host, 1/2/4/8(/16) of them. The
 //!   *counts* are scheduling-robust anywhere (publishes, drains,
 //!   per-shard spread, free-list steals); the *wall clock* only shows
 //!   parallel speedup when the host has cores to run on.
-//! * `freelist` — the Treiber-stack churn microbench, padded vs dense
-//!   heads (the false-sharing fix's before/after).
 //! * `simulated` — the bpw-sim discrete-event model at 8/16/32 CPUs,
 //!   where the combining modes separate deterministically regardless of
 //!   the host. These rows replace the old closed-form `modeled` rows.
@@ -24,14 +22,14 @@
 //! `--quick` runs a reduced sweep and exits nonzero unless (a) the
 //! sharded miss path projects >= 2x the coarse baseline at 8 threads
 //! (operational-law calibration from the measured single-thread run)
-//! and (b) simulated flat combining is at least as fast as overflow-only
-//! publication at 8 CPUs — the CI regression gates.
+//! and (b) simulated flat combining is at least as fast as combining
+//! off at 8, 16 and 32 CPUs — the CI regression gates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bpw_bufferpool::{BufferPool, SimDisk, StripedFreeList, WrappedManager};
+use bpw_bufferpool::{BufferPool, SimDisk, WrappedManager};
 use bpw_core::{Combining, SystemKind, WrapperConfig};
 use bpw_metrics::JsonObject;
 use bpw_replacement::TwoQ;
@@ -75,7 +73,10 @@ fn run_measured(
     total_accesses: u64,
     working_set: u64,
 ) -> Measured {
-    let cfg = WrapperConfig::default().with_combining_mode(combining);
+    let cfg = WrapperConfig {
+        combining,
+        ..WrapperConfig::default()
+    };
     let mut pool: BufferPool<WrappedManager<TwoQ>> = BufferPool::new(
         FRAMES,
         64,
@@ -221,46 +222,6 @@ fn measured_row(
     o.finish()
 }
 
-/// Treiber-stack churn: every thread hammers pop/push on its home
-/// stripe. With dense heads, neighbouring stripes share cache lines and
-/// every CAS invalidates its neighbours; padded heads give each stripe
-/// its own line.
-fn run_freelist(padded: bool, threads: u64, total_ops: u64) -> (u64, u64) {
-    const STRIPES: usize = 8;
-    let list = if padded {
-        StripedFreeList::new(FRAMES, STRIPES)
-    } else {
-        StripedFreeList::new_dense(FRAMES, STRIPES)
-    };
-    let per_thread = total_ops / threads;
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for th in 0..threads {
-            let list = &list;
-            s.spawn(move || {
-                let home = th as usize % STRIPES;
-                for _ in 0..per_thread {
-                    if let Some(frame) = list.pop(home) {
-                        list.push(home, frame);
-                    }
-                }
-            });
-        }
-    });
-    (t0.elapsed().as_nanos() as u64, per_thread * threads)
-}
-
-fn freelist_row(padded: bool, threads: u64, ops: u64, wall_ns: u64) -> String {
-    let mut o = JsonObject::new();
-    o.field_str("kind", "freelist")
-        .field_str("heads", if padded { "padded" } else { "dense" })
-        .field_u64("threads", threads)
-        .field_u64("ops", ops)
-        .field_u64("wall_ns", wall_ns)
-        .field_f64("throughput_mops", ops as f64 / (wall_ns as f64 / 1e9) / 1e6);
-    o.finish()
-}
-
 /// One discrete-event run: the full wrapper (batching + prefetching)
 /// with small queues (S=8, T=4) on the scan workload, where the
 /// replacement lock is the bottleneck and the combining modes separate.
@@ -319,7 +280,7 @@ fn main() {
          {:<9} {:>7} {:>10} {:>9} {:>9} {:>9} {:>7} {:>6}",
         "combining", "threads", "meas_Macc", "published", "fallback", "combined", "passes", "depth"
     );
-    for mode in [Combining::Off, Combining::Overflow, Combining::Flat] {
+    for mode in [Combining::Off, Combining::Flat] {
         for &threads in commit_threads {
             let m = run_measured("sharded", mode, threads, total_accesses, COMMIT_WORKING_SET);
             println!(
@@ -394,24 +355,6 @@ fn main() {
         }
     }
 
-    // --- free list: padded vs dense heads -----------------------------
-    println!(
-        "\nfree-list churn (Treiber heads):\n{:<7} {:>7} {:>10}",
-        "heads", "threads", "meas_Mops"
-    );
-    for padded in [false, true] {
-        for &threads in commit_threads {
-            let (wall_ns, ops) = run_freelist(padded, threads, total_accesses);
-            println!(
-                "{:<7} {:>7} {:>10.3}",
-                if padded { "padded" } else { "dense" },
-                threads,
-                ops as f64 / (wall_ns as f64 / 1e9) / 1e6
-            );
-            lines.push(freelist_row(padded, threads, ops, wall_ns));
-        }
-    }
-
     // --- simulated 8/16/32 CPUs ---------------------------------------
     println!(
         "\nsimulated (bpw-sim, S=8 T=4, tablescan):\n\
@@ -419,7 +362,7 @@ fn main() {
         "combining", "cpus", "tps", "cpm", "publishes", "combined"
     );
     let mut sim_at = std::collections::HashMap::new();
-    for mode in [Combining::Off, Combining::Overflow, Combining::Flat] {
+    for mode in [Combining::Off, Combining::Flat] {
         for cpus in [8usize, 16, 32] {
             let r = run_sim(cpus, mode, sim_horizon_ms);
             println!(
@@ -467,15 +410,15 @@ fn main() {
         }
     }
 
-    // Gate 2: flat combining must not trail overflow-only publication at
-    // 8 CPUs and beyond (deterministic simulator rows, so this holds on
-    // any host, including single-core CI runners).
+    // Gate 2: flat combining must not trail combining off at 8 CPUs
+    // and beyond (deterministic simulator rows, so this holds on any
+    // host, including single-core CI runners).
     for cpus in [8usize, 16, 32] {
         let flat = sim_at[&(Combining::Flat, cpus)];
-        let over = sim_at[&(Combining::Overflow, cpus)];
-        println!("simulated @{cpus} cpus: flat {flat:.0} tps vs overflow {over:.0} tps");
-        if flat < over {
-            eprintln!("FAIL: flat combining must be >= overflow-only at {cpus} cpus");
+        let off = sim_at[&(Combining::Off, cpus)];
+        println!("simulated @{cpus} cpus: flat {flat:.0} tps vs off {off:.0} tps");
+        if flat < off {
+            eprintln!("FAIL: flat combining must be >= combining off at {cpus} cpus");
             std::process::exit(1);
         }
     }

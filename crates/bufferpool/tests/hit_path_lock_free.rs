@@ -14,16 +14,16 @@
 //! hit *path* is lock-free; content access is a separate latch by
 //! design (page I/O can't be seqlocked).
 //!
-//! A second test pins through the seed's mutex-based descriptor
-//! (`MutexDesc`, kept as the benchmark baseline) and asserts the same
-//! census *does* see its two acquisitions per pin/unpin pair — proving
-//! the instrument can't silently go blind.
+//! A second test pins and unpins through a local `parking_lot::Mutex`,
+//! the seed's per-frame descriptor latch, and asserts the same census
+//! *does* see its two acquisitions per pin/unpin pair — proving the
+//! instrument can't silently go blind.
 
 #![cfg(not(feature = "dst"))]
 
 use std::sync::Arc;
 
-use bpw_bufferpool::{BufferPool, MutexDesc, SimDisk, WrappedManager};
+use bpw_bufferpool::{BufferPool, DescState, SimDisk, WrappedManager};
 use bpw_core::WrapperConfig;
 use bpw_replacement::TwoQ;
 
@@ -166,15 +166,18 @@ fn mutex_baseline_is_visible_to_the_census() {
     // Control experiment: the seed's mutex descriptor pays one lock per
     // pin and another per unpin, and the census sees both — so the
     // zero-acquisition assertions above cannot pass vacuously.
-    let desc = MutexDesc::new();
+    let desc = parking_lot::Mutex::new(DescState {
+        tag: 5,
+        valid: true,
+        ..DescState::default()
+    });
+    let base = parking_lot::thread_acquisitions();
     {
         let mut s = desc.lock();
-        s.tag = 5;
-        s.valid = true;
+        assert!(s.valid && s.tag == 5);
+        s.pins += 1;
     }
-    let base = parking_lot::thread_acquisitions();
-    assert!(desc.try_pin(5));
-    desc.unpin();
+    desc.lock().pins -= 1;
     assert_eq!(
         parking_lot::thread_acquisitions() - base,
         2,

@@ -8,10 +8,6 @@ pub enum Combining {
     /// block in `Lock()` when the queue is full.
     #[default]
     Off,
-    /// Publish to the handle's slot only when the queue is *full* — the
-    /// PR 4 behavior: publication replaces the unavoidable blocking
-    /// `Lock()`, nothing else.
-    Overflow,
     /// Full flat combining: *any* contended threshold crossing publishes
     /// and returns, and every lock holder drains all pending slots per
     /// critical section. The lock is acquired by whoever wins it; the
@@ -29,7 +25,6 @@ impl Combining {
     pub fn name(self) -> &'static str {
         match self {
             Combining::Off => "off",
-            Combining::Overflow => "overflow",
             Combining::Flat => "flat",
         }
     }
@@ -44,16 +39,13 @@ impl std::fmt::Display for Combining {
 impl std::str::FromStr for Combining {
     type Err = String;
 
-    /// Accepts the mode names plus `true`/`false` for compatibility with
-    /// the old boolean `--combining` flag (`true` means full flat
-    /// combining, the strongest mode).
+    /// Accepts exactly the mode names, `off` and `flat`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "off" | "false" | "none" => Ok(Combining::Off),
-            "overflow" => Ok(Combining::Overflow),
-            "flat" | "true" | "on" => Ok(Combining::Flat),
+            "off" => Ok(Combining::Off),
+            "flat" => Ok(Combining::Flat),
             other => Err(format!(
-                "unknown combining mode {other:?} (expected off|overflow|flat)"
+                "unknown combining mode {other:?} (expected off|flat)"
             )),
         }
     }
@@ -154,17 +146,10 @@ impl WrapperConfig {
         self
     }
 
-    /// Enable or disable combining commit. `true` selects full flat
-    /// combining (the strongest mode); use
-    /// [`with_combining_mode`](Self::with_combining_mode) for the
-    /// overflow-only variant.
-    pub fn with_combining(self, on: bool) -> Self {
-        self.with_combining_mode(if on { Combining::Flat } else { Combining::Off })
-    }
-
-    /// Select a combining mode explicitly.
-    pub fn with_combining_mode(mut self, mode: Combining) -> Self {
-        self.combining = mode;
+    /// Enable or disable combining commit: `true` selects
+    /// [`Combining::Flat`].
+    pub fn with_combining(mut self, on: bool) -> Self {
+        self.combining = if on { Combining::Flat } else { Combining::Off };
         self
     }
 
@@ -237,24 +222,18 @@ mod tests {
             Combining::Flat,
             "bool opt-in means full flat combining"
         );
-        let c = WrapperConfig::default().with_combining_mode(Combining::Overflow);
-        assert_eq!(c.combining, Combining::Overflow);
         c.validate();
     }
 
     #[test]
     fn combining_mode_parses() {
-        for (s, want) in [
-            ("off", Combining::Off),
-            ("false", Combining::Off),
-            ("overflow", Combining::Overflow),
-            ("flat", Combining::Flat),
-            ("true", Combining::Flat),
-        ] {
+        for (s, want) in [("off", Combining::Off), ("flat", Combining::Flat)] {
             assert_eq!(s.parse::<Combining>().unwrap(), want);
+            assert_eq!(want.to_string(), s);
         }
-        assert!("sideways".parse::<Combining>().is_err());
-        assert_eq!(Combining::Overflow.to_string(), "overflow");
+        for retired in ["overflow", "true", "false", "none", "on", "sideways"] {
+            assert!(retired.parse::<Combining>().is_err(), "{retired:?}");
+        }
     }
 
     #[test]

@@ -4,21 +4,24 @@
 //! ```text
 //! bpw-server serve   [--addr H:P] [--workers N] [--queue N] [--policy P]
 //!                    [--frames N] [--page-size B] [--pages N] [--manager SPEC]
-//!                    [--combining off|overflow|flat] [--miss-shards N] [--slo-us U]
-//!                    [--adaptive true]
+//!                    [--combining off|flat] [--slo-us U] [--adaptive true]
 //!                    [--faulty true] [--fault-seed S] [--fail-reads-ppm N]
 //!                    [--fail-writes-ppm N] [--spike-ppm N] [--spike-us U]
 //! bpw-server loadgen --addr H:P [--connections N] [--requests N]
 //!                    [--write-fraction F] [--rate RPS | --think MS]
-//!                    [--pipeline N]
+//!                    [--pipeline N] [--put-len B]
 //!                    [--workload zipf|dbt1|dbt2|scan] [--zipf-pages N]
 //!                    [--theta F] [--seed S]
 //! bpw-server bench   [--out FILE] [--requests N] [--connections LIST]
 //!                    [--workers N]
-//! bpw-server smoke   [--out FILE] [--faulty true]
+//! bpw-server smoke   [--out FILE] [--faulty true] (and serve's other fault flags)
 //! bpw-server chaos   [--out FILE] [--requests N] [--fault-seed S]
 //! bpw-server stages  [--out FILE] [--requests N] [--slo-us U]
 //! ```
+//!
+//! Each subcommand accepts only the flags listed for it: any other
+//! `--flag`, or an argument that is not a flag, is a usage error
+//! (exit status 2) rather than a silently ignored setting.
 //!
 //! `serve --slo-us U` arms the tail-latency flight recorder: tracing
 //! turns on, and any request slower than U microseconds (or ending
@@ -49,57 +52,124 @@ use bpw_metrics::JsonObject;
 use bpw_server::{loadgen, FaultPlan, LoadConfig, LoadMode, Server, ServerConfig};
 use bpw_workloads::{Workload, WorkloadKind, ZipfWorkload};
 
+type Flags = HashMap<String, String>;
+
+/// The flags [`fault_plan`] reads.
+const FAULT_FLAGS: &[&str] = &[
+    "faulty",
+    "fault-seed",
+    "fail-reads-ppm",
+    "fail-writes-ppm",
+    "spike-ppm",
+    "spike-us",
+];
+
+/// A subcommand: its name, its entry point, the flags it reads, and
+/// whether it also reads [`FAULT_FLAGS`].
+type Command = (
+    &'static str,
+    fn(&Flags) -> Result<(), String>,
+    &'static [&'static str],
+    bool,
+);
+
+const COMMANDS: &[Command] = &[
+    (
+        "serve",
+        cmd_serve,
+        &[
+            "addr",
+            "workers",
+            "queue",
+            "policy",
+            "frames",
+            "page-size",
+            "pages",
+            "manager",
+            "combining",
+            "slo-us",
+            "adaptive",
+        ],
+        true,
+    ),
+    (
+        "loadgen",
+        cmd_loadgen,
+        &[
+            "addr",
+            "connections",
+            "requests",
+            "write-fraction",
+            "rate",
+            "think",
+            "pipeline",
+            "put-len",
+            "workload",
+            "zipf-pages",
+            "theta",
+            "seed",
+        ],
+        false,
+    ),
+    (
+        "bench",
+        cmd_bench,
+        &["out", "requests", "connections", "workers"],
+        false,
+    ),
+    ("smoke", cmd_smoke, &["out"], true),
+    (
+        "chaos",
+        cmd_chaos,
+        &["out", "requests", "fault-seed"],
+        false,
+    ),
+    ("stages", cmd_stages, &["out", "requests", "slo-us"], false),
+];
+
+const USAGE: &str =
+    "usage: bpw-server <serve|loadgen|bench|smoke|chaos|stages> [flags]  (see --help in src/main.rs)";
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let cmd = args.next().unwrap_or_default();
-    let flags = parse_flags(args.collect());
-    let result = match cmd.as_str() {
-        "serve" => cmd_serve(&flags),
-        "loadgen" => cmd_loadgen(&flags),
-        "bench" => cmd_bench(&flags),
-        "smoke" => cmd_smoke(&flags),
-        "chaos" => cmd_chaos(&flags),
-        "stages" => cmd_stages(&flags),
-        _ => {
-            eprintln!(
-                "usage: bpw-server <serve|loadgen|bench|smoke|chaos|stages> [flags]  (see --help in src/main.rs)"
-            );
-            std::process::exit(2);
-        }
+    let Some(command) = COMMANDS.iter().find(|c| c.0 == cmd) else {
+        eprintln!("{USAGE}");
+        std::process::exit(2);
     };
-    if let Err(e) = result {
+    let flags = parse_flags(command, args.collect()).unwrap_or_else(|e| {
+        eprintln!("bpw-server {cmd}: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    if let Err(e) = (command.1)(&flags) {
         eprintln!("bpw-server {cmd}: {e}");
         std::process::exit(1);
     }
 }
 
-/// `--key value` pairs; repeated keys keep the last value.
-fn parse_flags(argv: Vec<String>) -> HashMap<String, String> {
+/// `--key value` pairs for `command`; repeated keys keep the last
+/// value. A flag the subcommand does not read, a bare argument, or a
+/// flag without a value is an error.
+fn parse_flags(&(_, _, known, faults): &Command, argv: Vec<String>) -> Result<Flags, String> {
     let mut flags = HashMap::new();
     let mut it = argv.into_iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
-            eprintln!("ignoring stray argument {a:?}");
-            continue;
+            return Err(format!("unexpected argument {a:?}"));
         };
-        match it.next() {
-            Some(v) => {
-                flags.insert(key.to_string(), v);
-            }
-            None => {
-                eprintln!("flag --{key} needs a value");
-                std::process::exit(2);
-            }
+        let reads_fault_flag = faults && FAULT_FLAGS.contains(&key);
+        if !(known.contains(&key) || reads_fault_flag) {
+            return Err(format!("unknown flag --{key}"));
         }
+        let value = it
+            .next()
+            .ok_or_else(|| format!("flag --{key} needs a value"))?;
+        flags.insert(key.to_string(), value);
     }
-    flags
+    Ok(flags)
 }
 
-fn get<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String>
+fn get<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
@@ -112,7 +182,7 @@ where
 /// Fault-injection flags -> an optional [`FaultPlan`]. `--faulty true`
 /// alone enables a default plan (2% transient read+write faults, 1%
 /// latency spikes); the per-rate flags refine or enable one explicitly.
-fn fault_plan(flags: &HashMap<String, String>) -> Result<Option<FaultPlan>, String> {
+fn fault_plan(flags: &Flags) -> Result<Option<FaultPlan>, String> {
     let faulty: bool = get(flags, "faulty", false)?;
     let read_ppm: u32 = get(flags, "fail-reads-ppm", 0)?;
     let write_ppm: u32 = get(flags, "fail-writes-ppm", 0)?;
@@ -143,7 +213,7 @@ fn fault_plan(flags: &HashMap<String, String>) -> Result<Option<FaultPlan>, Stri
     }))
 }
 
-fn server_config(flags: &HashMap<String, String>) -> Result<ServerConfig, String> {
+fn server_config(flags: &Flags) -> Result<ServerConfig, String> {
     let d = ServerConfig::default();
     Ok(ServerConfig {
         addr: flags.get("addr").cloned().unwrap_or(d.addr),
@@ -155,10 +225,6 @@ fn server_config(flags: &HashMap<String, String>) -> Result<ServerConfig, String
         pages: get(flags, "pages", d.pages)?,
         manager: flags.get("manager").cloned().unwrap_or(d.manager),
         combining: get(flags, "combining", d.combining)?,
-        miss_shards: match flags.get("miss-shards") {
-            Some(v) => Some(v.parse().map_err(|e| format!("--miss-shards {v:?}: {e}"))?),
-            None => None,
-        },
         fault_plan: fault_plan(flags)?,
         slo_us: match flags.get("slo-us") {
             Some(v) => Some(v.parse().map_err(|e| format!("--slo-us {v:?}: {e}"))?),
@@ -168,7 +234,7 @@ fn server_config(flags: &HashMap<String, String>) -> Result<ServerConfig, String
     })
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let config = server_config(flags)?;
     let server = Server::start(config.clone()).map_err(|e| e.to_string())?;
     println!(
@@ -185,7 +251,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn build_workload(flags: &HashMap<String, String>) -> Result<Box<dyn Workload>, String> {
+fn build_workload(flags: &Flags) -> Result<Box<dyn Workload>, String> {
     let name = flags.get("workload").map(String::as_str).unwrap_or("zipf");
     if name == "zipf" {
         let pages: u64 = get(flags, "zipf-pages", 16_384)?;
@@ -196,7 +262,7 @@ fn build_workload(flags: &HashMap<String, String>) -> Result<Box<dyn Workload>, 
     Ok(kind.build())
 }
 
-fn load_config(flags: &HashMap<String, String>) -> Result<LoadConfig, String> {
+fn load_config(flags: &Flags) -> Result<LoadConfig, String> {
     let d = LoadConfig::default();
     let mode = match (flags.get("rate"), flags.get("think")) {
         (Some(_), Some(_)) => return Err("--rate and --think are mutually exclusive".into()),
@@ -219,7 +285,7 @@ fn load_config(flags: &HashMap<String, String>) -> Result<LoadConfig, String> {
     })
 }
 
-fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_loadgen(flags: &Flags) -> Result<(), String> {
     let addr: SocketAddr = flags
         .get("addr")
         .ok_or("loadgen needs --addr")?
@@ -236,7 +302,7 @@ fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), String> {
 /// The headline end-to-end comparison: the same load through the same
 /// server, differing only in the replacement manager's synchronization
 /// scheme. Writes a JSON-lines artifact and prints a table.
-fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_bench(flags: &Flags) -> Result<(), String> {
     let out = flags
         .get("out")
         .cloned()
@@ -333,7 +399,7 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
 /// fault rates. Records throughput, the OK/ERR_IO mix, retry/repair
 /// counters, and the frame-accounting invariant to a JSON-lines
 /// artifact (`results/fault_injection.jsonl`).
-fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_chaos(flags: &Flags) -> Result<(), String> {
     let out = flags
         .get("out")
         .cloned()
@@ -437,7 +503,7 @@ fn cmd_chaos(flags: &HashMap<String, String>) -> Result<(), String> {
 /// a JSON-lines artifact (`results/stage_latency.jsonl`) — where does a
 /// GET's time actually go, and how much of the tail is queueing versus
 /// miss I/O.
-fn cmd_stages(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_stages(flags: &Flags) -> Result<(), String> {
     use bpw_metrics::JsonValue;
 
     let out = flags
@@ -559,7 +625,7 @@ fn cmd_stages(flags: &HashMap<String, String>) -> Result<(), String> {
 /// CI self-test: exercise STATS, METRICS, and the tracing pipeline
 /// end-to-end against a live server, failing loudly on any malformed
 /// payload.
-fn cmd_smoke(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_smoke(flags: &Flags) -> Result<(), String> {
     use bpw_metrics::JsonValue;
 
     let out = flags
@@ -726,4 +792,33 @@ fn cmd_smoke(flags: &HashMap<String, String>) -> Result<(), String> {
         tids.len()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(cmd: &str, argv: &[&str]) -> Result<Flags, String> {
+        let command = COMMANDS.iter().find(|c| c.0 == cmd).unwrap();
+        parse_flags(command, argv.iter().map(|a| a.to_string()).collect())
+    }
+
+    #[test]
+    fn subcommands_reject_flags_they_do_not_read() {
+        let ok = parse("serve", &["--combining", "flat", "--faulty", "true"]).unwrap();
+        assert_eq!(ok["combining"], "flat");
+        assert_eq!(ok["faulty"], "true");
+        // Retired options fail loudly instead of starting a server
+        // configured differently from what was asked.
+        for retired in ["--miss-shards", "--mode", "--max-pipeline"] {
+            let err = parse("serve", &[retired, "1"]).unwrap_err();
+            assert!(err.contains(retired), "{err}");
+        }
+        assert!(parse("serve", &["stray"]).is_err());
+        assert!(parse("serve", &["--workers"]).is_err(), "missing value");
+        // A flag one subcommand reads is still unknown to another.
+        assert!(parse("loadgen", &["--addr", "127.0.0.1:1"]).is_ok());
+        assert!(parse("bench", &["--addr", "127.0.0.1:1"]).is_err());
+        assert!(parse("bench", &["--faulty", "true"]).is_err());
+    }
 }

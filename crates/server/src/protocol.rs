@@ -369,84 +369,6 @@ fn read_frame_inner(
     Ok(true)
 }
 
-/// Incremental frame decoder for nonblocking transports.
-///
-/// A readiness loop gets bytes in whatever fragments the kernel
-/// delivers — half a header, three frames and a torn fourth, one byte
-/// at a time from a slowloris. [`push`](Self::push) accepts any
-/// fragment; [`next_frame`](Self::next_frame) yields complete bodies in
-/// order. The length prefix is validated the moment its 4 bytes are
-/// present (zero-length and oversized frames are rejected *before* the
-/// body is buffered), and a decoder that has reported a protocol error
-/// stays poisoned: framing is unrecoverable once the byte stream is
-/// suspect, so the connection must be dropped.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    /// Parse position within `buf` (consumed bytes are compacted away
-    /// frame by frame).
-    pos: usize,
-    poisoned: bool,
-}
-
-impl FrameDecoder {
-    /// An empty decoder.
-    pub fn new() -> FrameDecoder {
-        FrameDecoder::default()
-    }
-
-    /// Buffer a fragment read from the transport.
-    pub fn push(&mut self, bytes: &[u8]) {
-        if !self.poisoned {
-            self.buf.extend_from_slice(bytes);
-        }
-    }
-
-    /// Bytes buffered but not yet returned as a frame — a torn header
-    /// or partially received body.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// The next complete frame body, if one is fully buffered.
-    ///
-    /// `Ok(None)` means "need more bytes"; `Err` means the stream is
-    /// malformed and every later call will keep erring.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ProtocolError> {
-        if self.poisoned {
-            return Err(ProtocolError("decoder poisoned by an earlier error".into()));
-        }
-        let avail = self.buf.len() - self.pos;
-        if avail < 4 {
-            self.compact();
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize;
-        if let Err(e) = validate_frame_len(len) {
-            self.poisoned = true;
-            self.buf = Vec::new();
-            self.pos = 0;
-            return Err(e);
-        }
-        if avail < 4 + len {
-            self.compact();
-            return Ok(None);
-        }
-        let body = self.buf[self.pos + 4..self.pos + 4 + len].to_vec();
-        self.pos += 4 + len;
-        Ok(Some(body))
-    }
-
-    fn compact(&mut self) {
-        // Drop consumed bytes once nothing torn straddles them; keeps
-        // the buffer from growing with connection lifetime.
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-    }
-}
-
 /// FNV-1a over a byte slice; SCAN replies carry this checksum so clients
 /// can verify content without shipping every page back.
 pub fn fnv1a(init: u64, bytes: &[u8]) -> u64 {
@@ -552,122 +474,6 @@ mod tests {
         assert!(read_frame(&mut r, &mut buf).is_err());
     }
 
-    /// Frame `req` onto a wire image.
-    fn framed(body: &[u8]) -> Vec<u8> {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, body).unwrap();
-        wire
-    }
-
-    #[test]
-    fn decoder_handles_one_byte_at_a_time() {
-        let mut wire = framed(&Request::Get { page: 99 }.encode());
-        wire.extend(framed(&Request::Scan { start: 5, len: 3 }.encode()));
-        let mut dec = FrameDecoder::new();
-        let mut frames = Vec::new();
-        for &b in &wire {
-            dec.push(&[b]);
-            while let Some(f) = dec.next_frame().unwrap() {
-                frames.push(f);
-            }
-        }
-        assert_eq!(frames.len(), 2);
-        assert_eq!(
-            Request::decode(&frames[0]).unwrap(),
-            Request::Get { page: 99 }
-        );
-        assert_eq!(
-            Request::decode(&frames[1]).unwrap(),
-            Request::Scan { start: 5, len: 3 }
-        );
-        assert_eq!(dec.buffered(), 0, "nothing torn left behind");
-    }
-
-    #[test]
-    fn decoder_handles_arbitrary_split_points() {
-        // Three frames, split at every possible boundary (header torn,
-        // body torn, frames glued) — the decoder must produce the same
-        // three bodies regardless of fragmentation.
-        let bodies = [
-            Request::Put {
-                page: 3,
-                data: vec![7; 33],
-            }
-            .encode(),
-            Request::Stats.encode(),
-            Request::Get { page: 1 }.encode(),
-        ];
-        let mut wire = Vec::new();
-        for b in &bodies {
-            wire.extend(framed(b));
-        }
-        for split in 1..wire.len() {
-            let mut dec = FrameDecoder::new();
-            let mut got = Vec::new();
-            for chunk in [&wire[..split], &wire[split..]] {
-                dec.push(chunk);
-                while let Some(f) = dec.next_frame().unwrap() {
-                    got.push(f);
-                }
-            }
-            assert_eq!(got.len(), 3, "split at {split}");
-            for (g, want) in got.iter().zip(&bodies) {
-                assert_eq!(g, want, "split at {split}");
-            }
-        }
-    }
-
-    #[test]
-    fn decoder_rejects_zero_length_and_oversized_headers() {
-        let mut dec = FrameDecoder::new();
-        dec.push(&0u32.to_le_bytes());
-        assert!(dec.next_frame().is_err(), "zero-length frame");
-        // Poisoned: even a now-valid frame is refused.
-        dec.push(&framed(&Request::Stats.encode()));
-        assert!(dec.next_frame().is_err(), "decoder must stay poisoned");
-
-        let mut dec = FrameDecoder::new();
-        dec.push(&((MAX_FRAME + 1) as u32).to_le_bytes());
-        assert!(dec.next_frame().is_err(), "oversized frame");
-
-        // The oversize check must fire from the header alone, before
-        // any body bytes arrive (no allocation sized by garbage).
-        let mut dec = FrameDecoder::new();
-        dec.push(&u32::MAX.to_le_bytes());
-        assert!(dec.next_frame().is_err());
-    }
-
-    #[test]
-    fn decoder_waits_on_truncated_body_without_erring() {
-        let wire = framed(
-            &Request::Put {
-                page: 8,
-                data: vec![1; 64],
-            }
-            .encode(),
-        );
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire[..wire.len() - 1]); // all but the last body byte
-        assert_eq!(dec.next_frame().unwrap(), None, "mid-body: need more");
-        assert_eq!(dec.buffered(), wire.len() - 1);
-        dec.push(&wire[wire.len() - 1..]);
-        let body = dec.next_frame().unwrap().expect("complete now");
-        assert!(matches!(
-            Request::decode(&body).unwrap(),
-            Request::Put { page: 8, .. }
-        ));
-    }
-
-    #[test]
-    fn decoder_rejects_garbage_after_valid_frames() {
-        let mut dec = FrameDecoder::new();
-        dec.push(&framed(&Request::Get { page: 2 }.encode()));
-        // Garbage "header" claiming an enormous body.
-        dec.push(&[0xFF, 0xFF, 0xFF, 0x7F]);
-        assert!(dec.next_frame().unwrap().is_some(), "valid frame first");
-        assert!(dec.next_frame().is_err(), "then the garbage header");
-    }
-
     #[test]
     fn blocking_read_frame_rejects_zero_length() {
         let wire = 0u32.to_le_bytes();
@@ -724,6 +530,32 @@ mod tests {
         assert_eq!(Request::decode(&buf).unwrap(), Request::Get { page: 9 });
         assert_eq!(idles, 2);
         assert!(!read_frame_or_idle(&mut r, &mut buf, &mut || idles += 1).unwrap());
+
+        // One byte per read with a timeout before every byte: three
+        // frames torn at every offset of header and body still arrive
+        // whole and in order, and only the timeouts at the three frame
+        // starts count as idleness.
+        let bodies = [
+            Request::Put {
+                page: 3,
+                data: vec![7; 33],
+            }
+            .encode(),
+            Request::Stats.encode(),
+            Request::Get { page: 1 }.encode(),
+        ];
+        let mut wire = Vec::new();
+        for b in &bodies {
+            write_frame(&mut wire, b).unwrap();
+        }
+        let mut r = Scripted(wire.iter().flat_map(|&b| [None, Some(vec![b])]).collect());
+        let mut idles = 0;
+        for want in &bodies {
+            assert!(read_frame_or_idle(&mut r, &mut buf, &mut || idles += 1).unwrap());
+            assert_eq!(&buf, want);
+        }
+        assert!(!read_frame_or_idle(&mut r, &mut buf, &mut || idles += 1).unwrap());
+        assert_eq!(idles, bodies.len());
         // Without an idle hook a timeout is an error, as before.
         let mut r = Scripted([None].into_iter().collect());
         let err = read_frame(&mut r, &mut buf).unwrap_err();

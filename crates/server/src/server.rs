@@ -60,15 +60,10 @@ pub struct ServerConfig {
     /// Manager spec, e.g. `"wrapped-2q"` (see [`build_manager`]).
     pub manager: String,
     /// Combining commit mode for `wrapped-*` managers
-    /// (`--combining off|overflow|flat`): `overflow` publishes only
-    /// when a queue fills against a busy lock; `flat` publishes on any
-    /// contended threshold crossing and lock holders drain every
-    /// pending slot. Off by default (paper-faithful baseline).
+    /// (`--combining off|flat`): `flat` publishes on any contended
+    /// threshold crossing and lock holders drain every pending slot.
+    /// Off by default (paper-faithful baseline).
     pub combining: Combining,
-    /// Override the miss-path partition width (`Some(1)` restores the
-    /// seed's single global miss lock; `None` keeps the default of one
-    /// lock per page-table shard).
-    pub miss_shards: Option<usize>,
     /// When set, the simulated disk is wrapped in a [`FaultyDisk`]
     /// driven by this plan (chaos testing; see
     /// [`Server::faulty_disk`]).
@@ -98,7 +93,6 @@ impl Default for ServerConfig {
             pages: 1 << 20,
             manager: "wrapped-2q".into(),
             combining: Combining::Off,
-            miss_shards: None,
             fault_plan: None,
             slo_us: None,
             adaptive: false,
@@ -282,7 +276,10 @@ pub struct Server {
 impl Server {
     /// Bind, spawn the acceptor, and return.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
-        let wrapper = WrapperConfig::default().with_combining_mode(config.combining);
+        let wrapper = WrapperConfig {
+            combining: config.combining,
+            ..WrapperConfig::default()
+        };
         let manager = build_manager_with(&config.manager, config.frames, wrapper)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         // Adaptive mode: interpose the hot-swap layer and set up the
@@ -336,9 +333,6 @@ impl Server {
             None => Arc::new(SimDisk::instant()),
         };
         let mut pool = BufferPool::new(config.frames, config.page_size, manager, storage);
-        if let Some(shards) = config.miss_shards {
-            pool = pool.with_miss_shards(shards);
-        }
         if let Some(state) = &adaptive {
             pool = pool.with_sample_tap(Arc::clone(&state.tap));
         }
@@ -1111,12 +1105,12 @@ fn metrics_text(shared: &Shared) -> String {
             state.tap.dropped(),
         );
         let names: Vec<&str> = snap.experts.iter().map(|e| e.policy.name()).collect();
-        let ewma_ppm: Vec<(&str, u64)> = names
+        let ewma_ppm: Vec<(&str, f64)> = names
             .iter()
             .zip(&snap.experts)
-            .map(|(n, e)| (*n, (e.ewma * 1e6) as u64))
+            .map(|(n, e)| (*n, (e.ewma * 1e6).trunc()))
             .collect();
-        w.labeled_counter(
+        w.labeled_gauge(
             "bpw_advisor_expert_ewma_ppm",
             "Each expert's EWMA shadow hit ratio, parts per million.",
             "policy",

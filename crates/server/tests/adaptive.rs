@@ -87,7 +87,8 @@ fn adaptive_stats_and_swaps_threaded() {
     // METRICS exposes the advisor series.
     let metrics = client.metrics().expect("METRICS");
     assert!(metrics.contains("bpw_advisor_swaps_total 2"));
-    assert!(metrics.contains("bpw_advisor_expert_ewma_ppm"));
+    assert!(metrics.contains("# TYPE bpw_advisor_expert_ewma_ppm gauge\n"));
+    assert!(metrics.contains("bpw_advisor_expert_ewma_ppm{policy=\"LRU\"} "));
 
     // Pool conservation after everything: no frame lost to a swap.
     assert_eq!(

@@ -24,6 +24,15 @@ fn valid_name(name: &str) -> bool {
         && !name.starts_with(|c: char| c.is_ascii_digit())
 }
 
+/// A gauge sample's value; non-finite values render as `NaN`.
+fn gauge_value(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "NaN".to_string()
+    }
+}
+
 fn escape_label_value(v: &str) -> String {
     v.replace('\\', "\\\\")
         .replace('"', "\\\"")
@@ -84,12 +93,24 @@ impl PromWriter {
     /// A point-in-time gauge.
     pub fn gauge(&mut self, name: &str, help: &str, value: f64) -> &mut Self {
         self.header(name, help, "gauge");
-        let rendered = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "NaN".to_string()
-        };
-        self.sample(name, &[], &rendered);
+        self.sample(name, &[], &gauge_value(value));
+        self
+    }
+
+    /// One gauge metric with several labeled series (e.g. the same
+    /// score for each policy). Emits one header and one sample per
+    /// `(label_value, value)` pair under `label_key`.
+    pub fn labeled_gauge(
+        &mut self,
+        name: &str,
+        help: &str,
+        label_key: &str,
+        series: &[(&str, f64)],
+    ) -> &mut Self {
+        self.header(name, help, "gauge");
+        for (label, value) in series {
+            self.sample(name, &[(label_key, label)], &gauge_value(*value));
+        }
         self
     }
 
@@ -240,6 +261,23 @@ mod tests {
         assert!(text.contains("# TYPE bpw_requests_total counter"));
         assert!(text.contains("bpw_requests_total 42"));
         assert!(text.contains("bpw_hit_ratio 0.9375"));
+        assert_eq!(validate_exposition(&text), Ok(2));
+    }
+
+    #[test]
+    fn labeled_gauge_series_share_one_gauge_header() {
+        let mut w = PromWriter::new();
+        w.labeled_gauge(
+            "bpw_score_ppm",
+            "Score.",
+            "policy",
+            &[("lru", 239_000.0), ("arc", f64::NAN)],
+        );
+        let text = w.finish();
+        assert_eq!(text.matches("# TYPE bpw_score_ppm gauge").count(), 1);
+        assert!(!text.contains("counter"));
+        assert!(text.contains("bpw_score_ppm{policy=\"lru\"} 239000\n"));
+        assert!(text.contains("bpw_score_ppm{policy=\"arc\"} NaN\n"));
         assert_eq!(validate_exposition(&text), Ok(2));
     }
 
